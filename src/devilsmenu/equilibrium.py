@@ -16,8 +16,10 @@ from itertools import product
 from typing import Optional
 
 from .mechanism import (
+    ABOVE,
     ABSTAIN,
     ACTIONS,
+    BELOW,
     DECOY,
     NOT_SELECTED,
     REAL,
@@ -25,18 +27,16 @@ from .mechanism import (
     S2,
     SELECTED_BY_DRAW,
     SELECTED_OUTRIGHT,
+    TIED,
     CountProfile,
     classify,
-    payments_for_selection,
+    district_payments,
     price_for,
-    selection_distribution,
+    status_odds,
 )
 from .model import ProfileError, ScanCapExceeded, Scenario
 
 DEFAULT_SCAN_CAP = 5_000_000
-
-# Interim status codes used in the hot path.
-_BELOW, _TIED, _ABOVE = "C", "T", "O"
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,10 @@ class _Ctx:
             ratios = [Fraction(mk, nk) for mk, nk in zip(m, self.n_real)]
             threshold = sorted(ratios)[self.q - 1]
             statuses = tuple(
-                _BELOW if r < threshold else (_TIED if r == threshold else _ABOVE)
+                BELOW if r < threshold else (TIED if r == threshold else ABOVE)
                 for r in ratios
             )
-            got = (statuses, statuses.count(_BELOW), statuses.count(_TIED))
+            got = (statuses, statuses.count(BELOW), statuses.count(TIED))
             self._interim[m] = got
         return got
 
@@ -107,18 +107,9 @@ class _Ctx:
         if got is None:
             if action == ABSTAIN:
                 got = self._valuation[voter_type]
-            elif status == _BELOW:
-                got = self._settle(voter_type, action, SELECTED_OUTRIGHT)
-            elif status == _ABOVE:
-                got = self._settle(voter_type, action, NOT_SELECTED)
-            elif self.q - c == t:
-                # Degenerate draw: the whole tie set goes through, so the
-                # district is certain at interim time and priced outright.
-                got = self._settle(voter_type, action, SELECTED_OUTRIGHT)
             else:
-                p_draw = Fraction(self.q - c, t)
-                got = (p_draw * self._settle(voter_type, action, SELECTED_BY_DRAW)
-                       + (1 - p_draw) * self._settle(voter_type, action, NOT_SELECTED))
+                got = sum(prob * self._settle(voter_type, action, final)
+                          for final, prob in status_odds(status, c, t, self.q))
             self._payoff[key] = got
         return got
 
@@ -292,12 +283,18 @@ def enumerate_equilibria(
 
 
 def expected_expenditure(s: Scenario, p: CountProfile) -> Fraction:
-    """Expected total payment under p, averaged exactly over the fair draw."""
+    """Expected total payment under p, exact over the fair draw.
+
+    A district's payments depend only on its own final status, so each
+    district's class payments are weighted by the odds of its final
+    statuses; no draw is enumerated.
+    """
     cl = classify(s, p)
     total = Fraction(0)
-    for selected, prob in selection_distribution(cl, s.target_count):
-        _, spend, _ = payments_for_selection(s, p, cl, selected)
-        total += prob * spend
+    for k, ac in enumerate(p.per_district):
+        interim = BELOW if k in cl.below else (TIED if k in cl.tied else ABOVE)
+        for final, prob in status_odds(interim, cl.c, cl.t, s.target_count):
+            total += prob * sum(pay.paid for _, _, pay in district_payments(s, ac, final))
     return total
 
 

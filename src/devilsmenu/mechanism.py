@@ -8,18 +8,17 @@ interchangeable, so payments are computed per class and multiplied out.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .model import (
     DeltaBelowThreshold,
     MenuVariant,
     ProfileError,
     Scenario,
-    q_subsets,
+    top_q_sum,
 )
 
 # Actions a citizen can take in step two.
@@ -32,6 +31,9 @@ SLOTS = (S1, S2)
 # Ballot types.
 REAL = "real"
 DECOY = "decoy"
+
+# Interim district status, from the slot-one ratios alone.
+BELOW, TIED, ABOVE = "below", "tied", "above"
 
 # Final district status. The six-price menu prices slot-two applicants of
 # outright-selected districts differently from draw-selected ones; the
@@ -178,7 +180,8 @@ def select_districts(
     state alone regardless of platform.
     """
     need = q - cl.c
-    assert 0 <= need <= cl.t, "classification invariant t >= q - c violated"
+    if not 0 <= need <= cl.t:
+        raise ValueError(f"inconsistent classification: c = {cl.c}, t = {cl.t}, q = {q}")
     pool = sorted(cl.tied)
     for i in range(need):
         j = i + rng.randrange(len(pool) - i)
@@ -188,12 +191,10 @@ def select_districts(
 
 
 def district_status(k: int, cl: Classification, selected: frozenset[int]) -> str:
-    """Final status for pricing.
+    """Final status for pricing, once the draw is made.
 
     A tied district whose draw was degenerate (the whole tie set gets
-    selected, q - c = t) counts as selected outright: its selection was
-    certain at interim time, so it is priced like a below-threshold
-    district. See the pricing note in the README.
+    selected, q - c = t) counts as selected outright, as in status_odds.
     """
     if k in cl.below:
         return SELECTED_OUTRIGHT
@@ -201,6 +202,21 @@ def district_status(k: int, cl: Classification, selected: frozenset[int]) -> str
         certain = len(selected) - cl.c == cl.t
         return SELECTED_OUTRIGHT if certain else SELECTED_BY_DRAW
     return NOT_SELECTED
+
+
+def status_odds(interim: str, c: int, t: int, q: int) -> tuple[tuple[str, Fraction], ...]:
+    """Final statuses of a BELOW, TIED or ABOVE district and their odds over the fair draw.
+
+    A tied district is drawn with odds (q - c) / t. When the draw is
+    degenerate (q - c = t) its selection is certain at interim time, so it
+    counts as selected outright. See the pricing note in the README.
+    """
+    if interim == BELOW or (interim == TIED and q - c == t):
+        return ((SELECTED_OUTRIGHT, Fraction(1)),)
+    if interim == ABOVE:
+        return ((NOT_SELECTED, Fraction(1)),)
+    p_draw = Fraction(q - c, t)
+    return ((SELECTED_BY_DRAW, p_draw), (NOT_SELECTED, 1 - p_draw))
 
 
 def price_for(
@@ -268,31 +284,41 @@ class Outcome:
         return sum(self.acquired_real_ballots)
 
 
+def district_payments(
+    s: Scenario, ac: ActionCount, status: str
+) -> Iterator[tuple[str, str, ClassPayment]]:
+    """Price one district's applicant classes under its final status.
+
+    Abstainers and empty classes receive no offer.
+    """
+    for voter_type in (REAL, DECOY):
+        for slot in SLOTS:
+            count = ac.count(voter_type, slot)
+            if count == 0:
+                continue
+            price = price_for(s.menu, slot, status, s.real_value, s.epsilon, s.delta)
+            sells = sell_decision(voter_type, price, s.real_value)
+            paid = price * count if sells else Fraction(0)
+            yield voter_type, slot, ClassPayment(price, sells, count, paid)
+
+
 def payments_for_selection(
     s: Scenario, p: CountProfile, cl: Classification, selected: frozenset[int]
 ) -> tuple[dict[tuple[int, str, str], ClassPayment], Fraction, tuple[int, ...]]:
     """Price every applicant class under a fixed final selection.
 
-    Abstainers receive no offer. Expenditure sums accepted sales only.
+    Expenditure sums accepted sales only.
     """
     prices_paid: dict[tuple[int, str, str], ClassPayment] = {}
     expenditure = Fraction(0)
     acquired = []
     for k, ac in enumerate(p.per_district):
-        status = district_status(k, cl, selected)
         got_real = 0
-        for voter_type in (REAL, DECOY):
-            for slot in SLOTS:
-                count = ac.count(voter_type, slot)
-                if count == 0:
-                    continue
-                price = price_for(s.menu, slot, status, s.real_value, s.epsilon, s.delta)
-                sells = sell_decision(voter_type, price, s.real_value)
-                paid = price * count if sells else Fraction(0)
-                prices_paid[(k, voter_type, slot)] = ClassPayment(price, sells, count, paid)
-                expenditure += paid
-                if voter_type == REAL and sells:
-                    got_real += count
+        for voter_type, slot, pay in district_payments(s, ac, district_status(k, cl, selected)):
+            prices_paid[(k, voter_type, slot)] = pay
+            expenditure += pay.paid
+            if voter_type == REAL and pay.sells:
+                got_real += pay.count
         acquired.append(got_real)
     return prices_paid, expenditure, tuple(acquired)
 
@@ -309,43 +335,33 @@ def budget_bound(s: Scenario) -> Fraction:
     """Worst-case equilibrium expenditure of the four-price menu.
 
     Maximum over q-subsets of: real ballots at V + eps and decoys at delta
-    inside the subset, decoys at 2*eps outside. Real and decoy counts enter
-    with different weights, so this is an exhaustive subset scan, not a
-    largest-q heuristic.
+    inside the subset, decoys at 2*eps outside. Every decoy costs at least
+    2*eps, and a district inside the subset adds (V + eps)*r + (delta - 2*eps)*d
+    on top of that whatever else is inside. Real and decoy counts carry
+    different weights, so the largest districts need not attain the maximum,
+    but the q largest of these combined weights do, exactly.
     """
     if s.menu.tag != "weak4":
         raise ValueError("the expenditure bound with a delta term is for the weak four-price menu")
     v, eps, delta = s.real_value, s.epsilon, s.delta
-    total_decoy = s.total_decoy
-    best = None
-    for subset in q_subsets(s.num_districts, s.target_count):
-        inside_real = sum(s.districts[k].real_count for k in subset)
-        inside_decoy = sum(s.districts[k].decoy_count for k in subset)
-        val = ((v + eps) * inside_real
-               + delta * inside_decoy
-               + 2 * eps * (total_decoy - inside_decoy))
-        if best is None or val > best:
-            best = val
-    assert best is not None
-    return best
+    extra = ((v + eps) * d.real_count + (delta - 2 * eps) * d.decoy_count for d in s.districts)
+    return 2 * eps * s.total_decoy + top_q_sum(extra, s.target_count)
+
+
+def _pinned_decoy_bound(s: Scenario, decoy_price: Fraction) -> Fraction:
+    """Real ballots of the q most real-heavy districts at V + eps, every decoy at decoy_price."""
+    best_real = top_q_sum((d.real_count for d in s.districts), s.target_count)
+    return (s.real_value + s.epsilon) * best_real + decoy_price * s.total_decoy
 
 
 def strong4_expenditure_bound(s: Scenario) -> Fraction:
     """Expenditure bound for the pinned-price strong menu: decoys cost 2*eps everywhere."""
-    best_real = max(
-        sum(s.districts[k].real_count for k in subset)
-        for subset in q_subsets(s.num_districts, s.target_count)
-    )
-    return (s.real_value + s.epsilon) * best_real + 2 * s.epsilon * s.total_decoy
+    return _pinned_decoy_bound(s, 2 * s.epsilon)
 
 
 def strong6_expenditure_bound(s: Scenario) -> Fraction:
     """Expenditure bound for the six-price menu run at its minimum tie price 3*eps."""
-    best_real = max(
-        sum(s.districts[k].real_count for k in subset)
-        for subset in q_subsets(s.num_districts, s.target_count)
-    )
-    return (s.real_value + s.epsilon) * best_real + 3 * s.epsilon * s.total_decoy
+    return _pinned_decoy_bound(s, 3 * s.epsilon)
 
 
 def minimal_delta(s: Scenario, sequential: bool = False) -> Fraction:
@@ -372,14 +388,3 @@ def minimal_delta(s: Scenario, sequential: bool = False) -> Fraction:
 def require_delta_at_least(s: Scenario, required: Fraction) -> None:
     if s.delta < required:
         raise DeltaBelowThreshold(s.delta, required)
-
-
-def selection_distribution(
-    cl: Classification, q: int
-) -> list[tuple[frozenset[int], Fraction]]:
-    """All final selections with their fair-randomization probabilities."""
-    need = q - cl.c
-    pool = sorted(cl.tied)
-    combos = list(itertools.combinations(pool, need))
-    prob = Fraction(1, len(combos))
-    return [(frozenset(cl.below) | frozenset(u), prob) for u in combos]

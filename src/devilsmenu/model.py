@@ -7,10 +7,9 @@ Floats appear only in report formatting and statistical test bands.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 #: Exact rational type used on all decision paths.
 Rational = Fraction
@@ -267,11 +266,10 @@ def scenario_warnings(s: Scenario) -> list[str]:
     return out
 
 
-def require_valid(s: Scenario) -> Scenario:
-    violations = validate_scenario(s)
-    if violations:
-        raise ScenarioFormatError("invalid scenario: " + "; ".join(violations))
-    return s
+def top_q_sum(values: Iterable[Fraction | int], q: int) -> Fraction | int:
+    """Sum of the q largest values: the maximum over q-subsets of any
+    quantity to which each district adds its own weight."""
+    return sum(sorted(values, reverse=True)[:q])
 
 
 def brute_force_cost(s: Scenario) -> Fraction:
@@ -281,16 +279,9 @@ def brute_force_cost(s: Scenario) -> Fraction:
     (V + eps) times the subset's total ballot count, attained by the q
     largest districts.
     """
-    sizes = sorted((d.total for d in s.districts), reverse=True)
-    q = s.target_count
-    return (s.real_value + s.epsilon) * sum(sizes[:q])
+    return (s.real_value + s.epsilon) * top_q_sum((d.total for d in s.districts), s.target_count)
 
 
 def validate_budget(s: Scenario) -> bool:
     """True iff the budget covers the brute-force purchase of any q districts."""
     return s.budget >= brute_force_cost(s)
-
-
-def q_subsets(k: int, q: int):
-    """All q-element index subsets of range(k); exhaustive, desk scale only."""
-    return itertools.combinations(range(k), q)

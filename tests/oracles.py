@@ -107,6 +107,22 @@ def oracle_expected_expenditure(scenario, counts):
     return total
 
 
+def oracle_expenditure_bound(scenario, inside_decoy_price, outside_decoy_price):
+    """Largest spend over every q-subset of districts: real ballots inside at
+    V + eps, decoys inside and outside at the given prices."""
+    v, eps = scenario.real_value, scenario.epsilon
+    total_decoy = sum(d.decoy_count for d in scenario.districts)
+    best = None
+    for subset in combinations(scenario.districts, scenario.target_count):
+        inside_real = sum(d.real_count for d in subset)
+        inside_decoy = sum(d.decoy_count for d in subset)
+        value = ((v + eps) * inside_real + inside_decoy_price * inside_decoy
+                 + outside_decoy_price * (total_decoy - inside_decoy))
+        if best is None or value > best:
+            best = value
+    return best
+
+
 def _voters(scenario):
     out = []
     for k, d in enumerate(scenario.districts):

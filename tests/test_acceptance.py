@@ -9,6 +9,7 @@ assertions are exact rationals unless a criterion is explicitly statistical
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from conftest import scenario_for, sym
 from devilsmenu import (
@@ -23,11 +24,7 @@ from devilsmenu import (
     verify_sabotage_bound,
 )
 from devilsmenu.claims import menu_family, run_claim
-from devilsmenu.mechanism import (
-    CountProfile,
-    payments_for_selection,
-    selection_distribution,
-)
+from devilsmenu.mechanism import CountProfile, payments_for_selection
 from devilsmenu.variants import (
     CommitmentGame,
     run_lemons,
@@ -97,14 +94,16 @@ def test_criterion_6_budget_accounting():
         p = CountProfile.sigma_star(s)
         cl = classify(s, p)
         bound = budget_bound(s)
+        selections = [cl.below | frozenset(drawn)
+                      for drawn in combinations(sorted(cl.tied), q - cl.c)]
         subset_value = {}
-        for selected, _ in selection_distribution(cl, q):
+        for selected in selections:
             inside_r = sum(s.districts[k].real_count for k in selected)
             inside_d = sum(s.districts[k].decoy_count for k in selected)
             subset_value[selected] = ((V + EPS) * inside_r + s.delta * inside_d
                                       + 2 * EPS * (s.total_decoy - inside_d))
         assert bound == max(subset_value.values())
-        for selected, _ in selection_distribution(cl, q):
+        for selected in selections:
             _, spend, _ = payments_for_selection(s, p, cl, selected)
             assert spend <= bound
             assert (spend == bound) == (subset_value[selected] == bound)

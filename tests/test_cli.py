@@ -92,6 +92,18 @@ def test_cli_run_deterministic(tmp_path, capsys):
     assert "842/3" in first or "expenditure" in first
 
 
+def test_cli_run_many_districts_uses_closed_forms(tmp_path, capsys):
+    # 40 districts with q = 20 have about 1.4e11 equally likely draws and
+    # C(40, 20) subsets. Each district is drawn with odds 1/2 and expects
+    # 1/2 * (2*101 + 2*52) + 1/2 * (2*2) = 155; the bound is
+    # 2*80 + 20 * (2*101 + 2*50).
+    doc = dict(GOOD, districts=[{"real": 2, "decoy": 2}] * 40, q=20, delta=52)
+    assert main(["run", "--scenario", write(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert "expected expenditure over the draw: 6200\n" in out
+    assert "expenditure bound: 6200\n" in out
+
+
 def test_cli_run_csv_deterministic(tmp_path, capsys):
     path = write(tmp_path, GOOD)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -27,8 +28,8 @@ from devilsmenu.mechanism import (
     SELECTED_BY_DRAW,
     SELECTED_OUTRIGHT,
     ActionCount,
+    Classification,
     CountProfile,
-    selection_distribution,
 )
 
 V = Fraction(100)
@@ -119,7 +120,6 @@ def test_select_districts_no_draw_needed():
     # Hand-built partition with c = q: the draw is empty. classify itself
     # can never produce c = q (the q-th smallest ratio is always tied), so
     # this exercises select_districts on an ad hoc valid Classification.
-    from devilsmenu.mechanism import Classification
     cl = Classification(
         ratios=(Fraction(1, 2), Fraction(3, 4), Fraction(1)),
         threshold=Fraction(1),
@@ -294,11 +294,20 @@ def test_expenditure_within_bound_over_all_draws():
     bound = budget_bound(s)
     from devilsmenu.mechanism import payments_for_selection
     seen = []
-    for selected, _prob in selection_distribution(cl, s.target_count):
-        _, spend, _ = payments_for_selection(s, p, cl, selected)
+    for drawn in combinations(sorted(cl.tied), s.target_count - cl.c):
+        _, spend, _ = payments_for_selection(s, p, cl, cl.below | frozenset(drawn))
         assert spend <= bound
         seen.append(spend)
     assert max(seen) == bound
+
+
+def test_select_districts_rejects_inconsistent_classification():
+    # Two districts below the threshold cannot fit q = 1. The check must be
+    # a real error: a draw over an empty range would return both districts.
+    cl = Classification((Fraction(0), Fraction(0), Fraction(1)), Fraction(1),
+                        frozenset({0, 1}), frozenset({2}), frozenset())
+    with pytest.raises(ValueError):
+        select_districts(cl, 1, random.Random(0))
 
 
 def test_action_count_accessors():

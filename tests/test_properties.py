@@ -9,18 +9,22 @@ from hypothesis import given, settings, strategies as st
 from devilsmenu import (
     MenuVariant,
     brute_force_cost,
+    budget_bound,
     classify,
     deviation_payoff,
     execute,
+    expected_expenditure,
     expected_payoff,
     is_nash,
     make_scenario,
+    strong4_expenditure_bound,
+    strong6_expenditure_bound,
     validate_budget,
     validate_scenario,
 )
 from devilsmenu.equilibrium import VoterClass
 from devilsmenu.mechanism import ABSTAIN, DECOY, REAL, S1, S2, CountProfile
-from oracles import oracle_expected_payoff
+from oracles import oracle_expected_expenditure, oracle_expected_payoff, oracle_expenditure_bound
 
 MENUS = (MenuVariant.WEAK4, MenuVariant.STRONG4, MenuVariant.STRONG6)
 
@@ -116,6 +120,18 @@ def test_expected_payoff_matches_draw_enumeration(sp):
             for action in (S1, S2, ABSTAIN):
                 assert expected_payoff(s, p, VoterClass(k, voter_type, action)) == \
                     oracle_expected_payoff(s, counts, k, voter_type, action)
+
+
+@given(scenario_and_profile())
+@settings(max_examples=60, deadline=None)
+def test_closed_forms_match_enumeration(sp):
+    s, p = sp
+    assert expected_expenditure(s, p) == oracle_expected_expenditure(s, p.as_counts())
+    eps = s.epsilon
+    assert strong4_expenditure_bound(s) == oracle_expenditure_bound(s, 2 * eps, 2 * eps)
+    assert strong6_expenditure_bound(s) == oracle_expenditure_bound(s, 3 * eps, 3 * eps)
+    if s.menu.tag == "weak4":
+        assert budget_bound(s) == oracle_expenditure_bound(s, s.delta, 2 * eps)
 
 
 @given(scenario_and_profile())
