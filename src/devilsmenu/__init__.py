@@ -14,7 +14,6 @@ from .model import (
     DistrictSpec,
     MenuVariant,
     ProfileError,
-    Rational,
     ScanCapExceeded,
     Scenario,
     ScenarioFormatError,
@@ -27,18 +26,7 @@ from .model import (
     validate_scenario,
 )
 from .mechanism import (
-    ABSTAIN,
-    DECOY,
-    NOT_SELECTED,
-    REAL,
-    S1,
-    S2,
-    SELECTED_BY_DRAW,
-    SELECTED_OUTRIGHT,
-    ActionCount,
-    Classification,
     CountProfile,
-    Outcome,
     budget_bound,
     classify,
     execute,
@@ -50,9 +38,6 @@ from .mechanism import (
     strong6_expenditure_bound,
 )
 from .equilibrium import (
-    EquilibriumReport,
-    SabotageReport,
-    VoterClass,
     deviation_payoff,
     enumerate_equilibria,
     expected_expenditure,
@@ -63,10 +48,7 @@ from .equilibrium import (
 )
 from .variants import (
     CommitmentGame,
-    CommitmentOutcome,
     CommitmentProfile,
-    LemonsOutcome,
-    SequentialState,
     run_commitment,
     run_lemons,
     run_sequential,

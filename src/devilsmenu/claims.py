@@ -7,10 +7,11 @@ single scenario) and reports one pass/fail row per instance.
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .equilibrium import (
     enumerate_equilibria,
@@ -18,7 +19,7 @@ from .equilibrium import (
     tie_payoff_gap_holds,
     verify_sabotage_bound,
 )
-from .mechanism import CountProfile, minimal_delta
+from .mechanism import CountProfile, minimal_delta, require_delta_at_least
 from .model import MenuVariant, Scenario, make_scenario
 from .variants import verify_subgame_perfect
 
@@ -180,19 +181,30 @@ def family_for(claim: str, family: str) -> Iterator[Scenario]:
     return menu_family(menu, **(_SMALL if small else {}))
 
 
+def ordered_map(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
+    """fn(*args) for each args in calls, results in call order: in worker
+    processes when workers > 1, in this process otherwise."""
+    if workers <= 1:
+        return [fn(*args) for args in calls]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*calls)))
+
+
 def run_claim(
     claim: str,
     family: str = "small",
     scenario: Optional[Scenario] = None,
+    workers: int = 1,
 ) -> ClaimSuite:
-    """Run one claim over a family or a single scenario."""
+    """Run one claim over a family or a single scenario, on `workers` processes."""
     claim = resolve_claim(claim)
     if scenario is not None:
         if claim in ("weak4-unique", "strong6-unique"):
             # The uniqueness claims presume the tie price is at its minimum
             # or above; below that the check is vacuous, refuse upfront.
-            from .mechanism import require_delta_at_least
             require_delta_at_least(scenario, minimal_delta(scenario))
-        return ClaimSuite(claim, (check_instance(claim, scenario),))
-    results = tuple(_CHECKS[claim](s) for s in family_for(claim, family))
-    return ClaimSuite(claim, results)
+        instances = [scenario]
+    else:
+        instances = family_for(claim, family)
+    results = ordered_map(check_instance, [(claim, s) for s in instances], workers)
+    return ClaimSuite(claim, tuple(results))

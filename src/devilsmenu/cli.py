@@ -8,7 +8,6 @@ stdout and CSV bytes; wall time goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import random
@@ -26,11 +25,13 @@ from .equilibrium import (
 )
 from .mechanism import (
     ActionCount,
+    Classification,
     CountProfile,
     budget_bound,
     classify,
     execute,
     minimal_delta,
+    select_districts,
 )
 from .model import (
     DeltaBelowThreshold,
@@ -254,7 +255,7 @@ def _cmd_run(args) -> int:
               f"{format_rational(floor)} (delta at or above: {above})")
 
     if args.mc:
-        counts = _mc_counts(s, profile, seed, args.mc, args.workers)
+        counts = _mc_counts(cl, s.target_count, seed, args.mc, args.workers)
         rows = _mc_rows(s, counts, args.mc)
         print(f"selection frequencies over {args.mc} runs:")
         print(_table([tuple(map(str, r)) for r in rows],
@@ -280,27 +281,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _mc_batch(s: Scenario, profile: CountProfile, seed: int, lo: int, hi: int) -> list[int]:
-    counts = [0] * s.num_districts
+def _mc_batch(cl: Classification, q: int, seed: int, lo: int, hi: int) -> list[int]:
+    """Selection counts over runs lo..hi-1. Only the draw differs between runs,
+    so the classification is reused and run i redraws from Random(seed ^ i)."""
+    counts = [0] * len(cl.ratios)
     for i in range(lo, hi):
-        outcome = execute(s, profile, random.Random(seed ^ i))
-        for k in outcome.selected:
+        selected, _ = select_districts(cl, q, random.Random(seed ^ i))
+        for k in selected:
             counts[k] += 1
     return counts
 
 
-def _mc_counts(s: Scenario, profile: CountProfile, seed: int, runs: int,
-               workers: int) -> list[int]:
-    if workers <= 1:
-        return _mc_batch(s, profile, seed, 0, runs)
+def _mc_counts(cl: Classification, q: int, seed: int, runs: int, workers: int) -> list[int]:
     chunk = -(-runs // workers)
-    spans = [(lo, min(lo + chunk, runs)) for lo in range(0, runs, chunk)]
-    counts = [0] * s.num_districts
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_mc_batch, *zip(*[(s, profile, seed, lo, hi)
-                                               for lo, hi in spans])):
-            counts = [a + b for a, b in zip(counts, part)]
-    return counts
+    batches = [(cl, q, seed, lo, min(lo + chunk, runs)) for lo in range(0, runs, chunk)]
+    return [sum(col) for col in zip(*claims_mod.ordered_map(_mc_batch, batches, workers))]
 
 
 def _mc_rows(s: Scenario, counts: list[int], runs: int):
@@ -342,19 +337,11 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     claim = claims_mod.resolve_claim(args.claim)
-    scenario = None
-    if args.scenario:
-        scenario = parse_scenario_file(args.scenario)
-        suite = claims_mod.run_claim(claim, scenario=scenario)
+    scenario = parse_scenario_file(args.scenario) if args.scenario else None
+    suite = claims_mod.run_claim(claim, family=args.family, scenario=scenario,
+                                 workers=args.workers)
+    if scenario is not None:
         print(f"scenario: {scenario_echo(scenario)}")
-    elif args.workers > 1:
-        family = list(claims_mod.family_for(claim, args.family))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = tuple(pool.map(claims_mod.check_instance,
-                                     [claim] * len(family), family))
-        suite = claims_mod.ClaimSuite(claim, results)
-    else:
-        suite = claims_mod.run_claim(claim, family=args.family)
     print("command: verify")
     print(f"claim: {suite.claim} ({'scenario' if args.scenario else 'family=' + args.family})")
     rows = [("PASS" if r.passed else "FAIL", r.label, r.detail) for r in suite.results]
@@ -576,6 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, low in (("mc", 0), ("workers", 1)):
+        if getattr(args, flag, low) < low:
+            parser.error(f"argument --{flag}: must be at least {low}")
     started = time.perf_counter()
     try:
         code = args.func(args)

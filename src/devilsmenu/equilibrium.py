@@ -16,23 +16,22 @@ from itertools import product
 from typing import Optional
 
 from .mechanism import (
-    ABOVE,
     ABSTAIN,
     ACTIONS,
     BELOW,
     DECOY,
-    NOT_SELECTED,
     REAL,
     S1,
     S2,
-    SELECTED_BY_DRAW,
-    SELECTED_OUTRIGHT,
     TIED,
     CountProfile,
-    classify,
+    budget_bound,
     district_payments,
-    price_for,
+    interim_partition,
+    price_table,
     status_odds,
+    valuation,
+    voter_payoff,
 )
 from .model import ProfileError, ScanCapExceeded, Scenario
 
@@ -65,50 +64,38 @@ class _Ctx:
     interim classifications are keyed by the slot-one applicant vector, and
     expected payoffs by (own interim status, c, t, type, action); both spaces
     are tiny at desk scale, so repeated deviation checks reduce to dict hits.
+    Prices come from the scenario's mechanism.price_table.
     """
 
     def __init__(self, s: Scenario):
         self.s = s
-        self.k = s.num_districts
         self.q = s.target_count
         self.n_real = tuple(d.real_count for d in s.districts)
         self.n_decoy = tuple(d.decoy_count for d in s.districts)
-        self._prices = {
-            (slot, status): price_for(s.menu, slot, status, s.real_value, s.epsilon, s.delta)
-            for slot in (S1, S2)
-            for status in (SELECTED_OUTRIGHT, SELECTED_BY_DRAW, NOT_SELECTED)
-        }
-        self._valuation = {REAL: s.real_value, DECOY: Fraction(0)}
+        self.prices = price_table(s)
         self._interim: dict[tuple[int, ...], tuple[tuple[str, ...], int, int]] = {}
         self._payoff: dict[tuple, Fraction] = {}
 
     def interim(self, m: tuple[int, ...]) -> tuple[tuple[str, ...], int, int]:
+        """(status per district, c, t) for slot-one applicant counts m."""
         got = self._interim.get(m)
         if got is None:
-            ratios = [Fraction(mk, nk) for mk, nk in zip(m, self.n_real)]
-            threshold = sorted(ratios)[self.q - 1]
-            statuses = tuple(
-                BELOW if r < threshold else (TIED if r == threshold else ABOVE)
-                for r in ratios
-            )
+            _, statuses = interim_partition(
+                [Fraction(mk, nk) for mk, nk in zip(m, self.n_real)], self.q)
             got = (statuses, statuses.count(BELOW), statuses.count(TIED))
             self._interim[m] = got
         return got
-
-    def _settle(self, voter_type: str, slot: str, status: str) -> Fraction:
-        price = self._prices[(slot, status)]
-        valuation = self._valuation[voter_type]
-        return price if price > valuation else valuation
 
     def payoff(self, status: str, c: int, t: int, voter_type: str, action: str) -> Fraction:
         """Expected payoff of one voter given his district's interim status."""
         key = (status, c, t, voter_type, action)
         got = self._payoff.get(key)
         if got is None:
+            v = self.s.real_value
             if action == ABSTAIN:
-                got = self._valuation[voter_type]
+                got = valuation(voter_type, v)
             else:
-                got = sum(prob * self._settle(voter_type, action, final)
+                got = sum(prob * voter_payoff(voter_type, self.prices[(action, final)], v)
                           for final, prob in status_odds(status, c, t, self.q))
             self._payoff[key] = got
         return got
@@ -237,20 +224,22 @@ def enumerate_equilibria(
     Filtered scan space: both slots per voter, per district (real+1)*(decoy+1)
     count profiles. Profiles with any real voter on slot two fail the
     dominance screen regardless of decoy placement, so they are rejected
-    wholesale and only the remaining candidates run the deviation checks;
+    wholesale and only the decoy splits, (decoy+1) candidates per district,
+    run the deviation checks. The scan cap bounds the candidates;
     profiles_scanned reports the full space. Unfiltered scan space: all
-    three-action count splits per type.
+    three-action count splits per type, every one a candidate.
     """
     ctx = _ctx_for(s)
     sigma = CountProfile.sigma_star(s).as_counts()
     equilibria: list[CountProfile] = []
 
     if filter_dominated:
-        space = 1
+        space = candidates = 1
         for r, d in zip(ctx.n_real, ctx.n_decoy):
             space *= (r + 1) * (d + 1)
-        if space > scan_cap:
-            raise ScanCapExceeded(space, scan_cap)
+            candidates *= d + 1
+        if candidates > scan_cap:
+            raise ScanCapExceeded(candidates, scan_cap)
         options = [
             [(r, 0, 0, d1, d - d1, 0) for d1 in range(d + 1)]
             for r, d in zip(ctx.n_real, ctx.n_decoy)
@@ -289,12 +278,15 @@ def expected_expenditure(s: Scenario, p: CountProfile) -> Fraction:
     district's class payments are weighted by the odds of its final
     statuses; no draw is enumerated.
     """
-    cl = classify(s, p)
+    p.check_against(s)
+    ctx = _ctx_for(s)
+    statuses, c, t = ctx.interim(_slot1_vector(p.as_counts()))
     total = Fraction(0)
-    for k, ac in enumerate(p.per_district):
-        interim = BELOW if k in cl.below else (TIED if k in cl.tied else ABOVE)
-        for final, prob in status_odds(interim, cl.c, cl.t, s.target_count):
-            total += prob * sum(pay.paid for _, _, pay in district_payments(s, ac, final))
+    for ac, interim in zip(p.per_district, statuses):
+        for final, prob in status_odds(interim, c, t, ctx.q):
+            paid = sum(pay.paid for _, _, pay in
+                       district_payments(ctx.prices, s.real_value, ac, final))
+            total += prob * paid
     return total
 
 
@@ -330,15 +322,8 @@ def verify_sabotage_bound(s: Scenario) -> SabotageReport:
     expenditure is exact over the draw. holds is True iff all of them stay
     within the four-price expenditure bound.
     """
-    from .mechanism import budget_bound
-
     bound = budget_bound(s)
-    per: dict[int, Fraction] = {}
-    for k, d in enumerate(s.districts):
-        if d.decoy_count == 0:
-            continue
-        p = single_deviation_profile(s, k, DECOY, S1)
-        per[k] = expected_expenditure(s, p)
+    per = _lone_deviation_spends(s, DECOY, S1)
     worst = max(per.values()) if per else None
     holds = all(v <= bound for v in per.values())
     return SabotageReport(per_district=per, worst=worst, bound=bound, holds=holds)
@@ -347,13 +332,15 @@ def verify_sabotage_bound(s: Scenario) -> SabotageReport:
 def real_deviation_expenditures(s: Scenario) -> dict[int, Fraction]:
     """Expected spending after a lone real voter leaves slot one (informational only;
     the sabotage bound makes no claim about real-voter deviations)."""
-    out: dict[int, Fraction] = {}
-    for k, d in enumerate(s.districts):
-        if d.real_count == 0:
-            continue
-        p = single_deviation_profile(s, k, REAL, S2)
-        out[k] = expected_expenditure(s, p)
-    return out
+    return _lone_deviation_spends(s, REAL, S2)
+
+
+def _lone_deviation_spends(s: Scenario, voter_type: str, new_action: str) -> dict[int, Fraction]:
+    """Expected spend, per district k with a voter_type voter, after one of them
+    leaves sigma-star for new_action."""
+    sizes = (d.real_count if voter_type == REAL else d.decoy_count for d in s.districts)
+    return {k: expected_expenditure(s, single_deviation_profile(s, k, voter_type, new_action))
+            for k, n in enumerate(sizes) if n}
 
 
 def tie_payoff_gap_holds(s: Scenario) -> bool:

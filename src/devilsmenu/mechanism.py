@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     DeltaBelowThreshold,
@@ -41,6 +42,7 @@ BELOW, TIED, ABOVE = "below", "tied", "above"
 SELECTED_OUTRIGHT = "selected_outright"
 SELECTED_BY_DRAW = "selected_by_draw"
 NOT_SELECTED = "not_selected"
+STATUSES = (SELECTED_OUTRIGHT, SELECTED_BY_DRAW, NOT_SELECTED)
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,6 @@ class CountProfile:
     def as_counts(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
         return tuple(ac.as_tuple() for ac in self.per_district)
 
-    def slot1_applicants(self, k: int) -> int:
-        return self.per_district[k].slot1_applicants
-
     def check_against(self, s: Scenario) -> None:
         """Raise ProfileError unless the profile fits the scenario's counts."""
         if len(self.per_district) != s.num_districts:
@@ -152,21 +151,25 @@ class Classification:
         return len(self.above)
 
 
-def classify(s: Scenario, p: CountProfile) -> Classification:
-    """Partition districts by their slot-one application ratio.
+def interim_partition(ratios: Sequence[Fraction], q: int) -> tuple[Fraction, tuple[str, ...]]:
+    """The threshold (q-th smallest ratio, with multiplicity) and each
+    district's BELOW, TIED or ABOVE status against it."""
+    threshold = sorted(ratios)[q - 1]
+    return threshold, tuple(
+        BELOW if r < threshold else (TIED if r == threshold else ABOVE) for r in ratios
+    )
 
-    Deterministic; the threshold is the q-th smallest ratio counted with
-    multiplicity.
-    """
+
+def classify(s: Scenario, p: CountProfile) -> Classification:
+    """Partition districts by their slot-one application ratio."""
     p.check_against(s)
     ratios = tuple(
         Fraction(ac.slot1_applicants, d.real_count)
         for ac, d in zip(p.per_district, s.districts)
     )
-    threshold = sorted(ratios)[s.target_count - 1]
-    below = frozenset(k for k, r in enumerate(ratios) if r < threshold)
-    tied = frozenset(k for k, r in enumerate(ratios) if r == threshold)
-    above = frozenset(k for k, r in enumerate(ratios) if r > threshold)
+    threshold, statuses = interim_partition(ratios, s.target_count)
+    below, tied, above = (frozenset(k for k, st in enumerate(statuses) if st == which)
+                          for which in (BELOW, TIED, ABOVE))
     return Classification(ratios, threshold, below, tied, above)
 
 
@@ -190,20 +193,6 @@ def select_districts(
     return frozenset(cl.below) | drawn, drawn
 
 
-def district_status(k: int, cl: Classification, selected: frozenset[int]) -> str:
-    """Final status for pricing, once the draw is made.
-
-    A tied district whose draw was degenerate (the whole tie set gets
-    selected, q - c = t) counts as selected outright, as in status_odds.
-    """
-    if k in cl.below:
-        return SELECTED_OUTRIGHT
-    if k in selected:
-        certain = len(selected) - cl.c == cl.t
-        return SELECTED_OUTRIGHT if certain else SELECTED_BY_DRAW
-    return NOT_SELECTED
-
-
 def status_odds(interim: str, c: int, t: int, q: int) -> tuple[tuple[str, Fraction], ...]:
     """Final statuses of a BELOW, TIED or ABOVE district and their odds over the fair draw.
 
@@ -219,6 +208,19 @@ def status_odds(interim: str, c: int, t: int, q: int) -> tuple[tuple[str, Fracti
     return ((SELECTED_BY_DRAW, p_draw), (NOT_SELECTED, 1 - p_draw))
 
 
+def district_status(k: int, cl: Classification, selected: frozenset[int], q: int) -> str:
+    """Final status for pricing, once the draw is made.
+
+    When status_odds leaves a single status (below, above, or a degenerate
+    draw) that is the status; otherwise it is whether k was drawn.
+    """
+    interim = BELOW if k in cl.below else (TIED if k in cl.tied else ABOVE)
+    odds = status_odds(interim, cl.c, cl.t, q)
+    if len(odds) == 1:
+        return odds[0][0]
+    return SELECTED_BY_DRAW if k in selected else NOT_SELECTED
+
+
 def price_for(
     menu: MenuVariant,
     slot: str,
@@ -232,7 +234,8 @@ def price_for(
     The four-price menus treat both selected statuses alike; the six-price
     menu pays slot-two applicants V - eps in outright-selected districts and
     delta in draw-selected ones. Status assignment, including the degenerate
-    draw that makes a tied district certain, lives in district_status.
+    draw that makes a tied district certain, lives in status_odds. Callers
+    read prices from price_table, which calls this once per entry.
     """
     if menu.tag == "commitment":
         raise ValueError("the commitment menu is districtless; use variants.run_commitment")
@@ -253,10 +256,34 @@ def price_for(
     return 2 * epsilon
 
 
+@lru_cache(maxsize=32)
+def price_table(s: Scenario) -> dict[tuple[str, str], Fraction]:
+    """The scenario's menu: the price offered per (slot, final status). Read only."""
+    return {
+        (slot, status): price_for(s.menu, slot, status, s.real_value, s.epsilon, s.delta)
+        for slot in SLOTS
+        for status in STATUSES
+    }
+
+
+def commitment_price(slot: str, overflow: bool, v: Fraction, epsilon: Fraction) -> Fraction:
+    """The all-or-nothing menu: eps in slot two; in slot one V + eps to the
+    drawn winners, or zero to every applicant once the slot overflows."""
+    if slot == S2:
+        return epsilon
+    return Fraction(0) if overflow else v + epsilon
+
+
+_ZERO = Fraction(0)
+
+
+def valuation(voter_type: str, v: Fraction) -> Fraction:
+    return v if voter_type == REAL else _ZERO
+
+
 def sell_decision(voter_type: str, offered_price: Fraction, v: Fraction) -> bool:
     """A voter sells iff the price strictly beats his valuation (ties keep the ballot)."""
-    valuation = v if voter_type == REAL else Fraction(0)
-    return offered_price > valuation
+    return offered_price > valuation(voter_type, v)
 
 
 @dataclass(frozen=True)
@@ -267,6 +294,17 @@ class ClassPayment:
     sells: bool
     count: int
     paid: Fraction
+
+
+def settle(voter_type: str, price: Fraction, count: int, v: Fraction) -> ClassPayment:
+    """Offer price to count voters of voter_type; they all sell or all keep."""
+    sells = sell_decision(voter_type, price, v)
+    return ClassPayment(price, sells, count, price * count if sells else Fraction(0))
+
+
+def voter_payoff(voter_type: str, price: Fraction, v: Fraction) -> Fraction:
+    """What one voter offered price ends up with: the price, or his ballot's worth."""
+    return price if sell_decision(voter_type, price, v) else valuation(voter_type, v)
 
 
 @dataclass(frozen=True)
@@ -285,21 +323,17 @@ class Outcome:
 
 
 def district_payments(
-    s: Scenario, ac: ActionCount, status: str
+    prices: Mapping[tuple[str, str], Fraction], v: Fraction, ac: ActionCount, status: str
 ) -> Iterator[tuple[str, str, ClassPayment]]:
-    """Price one district's applicant classes under its final status.
+    """Settle one district's applicant classes at its final status's prices.
 
     Abstainers and empty classes receive no offer.
     """
     for voter_type in (REAL, DECOY):
         for slot in SLOTS:
             count = ac.count(voter_type, slot)
-            if count == 0:
-                continue
-            price = price_for(s.menu, slot, status, s.real_value, s.epsilon, s.delta)
-            sells = sell_decision(voter_type, price, s.real_value)
-            paid = price * count if sells else Fraction(0)
-            yield voter_type, slot, ClassPayment(price, sells, count, paid)
+            if count:
+                yield voter_type, slot, settle(voter_type, prices[(slot, status)], count, v)
 
 
 def payments_for_selection(
@@ -309,12 +343,14 @@ def payments_for_selection(
 
     Expenditure sums accepted sales only.
     """
+    prices = price_table(s)
     prices_paid: dict[tuple[int, str, str], ClassPayment] = {}
     expenditure = Fraction(0)
     acquired = []
     for k, ac in enumerate(p.per_district):
         got_real = 0
-        for voter_type, slot, pay in district_payments(s, ac, district_status(k, cl, selected)):
+        status = district_status(k, cl, selected, s.target_count)
+        for voter_type, slot, pay in district_payments(prices, s.real_value, ac, status):
             prices_paid[(k, voter_type, slot)] = pay
             expenditure += pay.paid
             if voter_type == REAL and pay.sells:

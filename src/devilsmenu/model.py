@@ -11,9 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-#: Exact rational type used on all decision paths.
-Rational = Fraction
-
 RationalLike = Union[int, str, Fraction]
 
 MAX_SEED = 2**64 - 1
@@ -28,13 +25,13 @@ class ProfileError(ValueError):
 
 
 class ScanCapExceeded(RuntimeError):
-    """Profile scan would exceed the configured cap."""
+    """An equilibrium scan would check more candidates than the configured cap."""
 
     def __init__(self, required: int, cap: int):
         self.required = required
         self.cap = cap
         super().__init__(
-            f"profile scan needs {required} profiles but the cap is {cap}; "
+            f"equilibrium scan needs {required} candidates but the cap is {cap}; "
             f"rerun with scan_cap >= {required}"
         )
 

@@ -22,9 +22,13 @@ from .mechanism import (
     ClassPayment,
     CountProfile,
     Outcome,
+    commitment_price,
     execute,
     minimal_delta,
     require_delta_at_least,
+    settle,
+    valuation,
+    voter_payoff,
 )
 from .model import ProfileError, ScanCapExceeded, Scenario
 
@@ -147,10 +151,6 @@ class CommitmentProfile:
         return self.real_s1 + self.decoy_s1
 
     @property
-    def slot2_total(self) -> int:
-        return self.real_s2 + self.decoy_s2
-
-    @property
     def decoy_total(self) -> int:
         return self.decoy_s1 + self.decoy_s2
 
@@ -180,7 +180,8 @@ def run_commitment(
     zero: a decoy is indifferent and keeps his ballot). Otherwise the target
     number of slot-one applicants, drawn uniformly, are offered V + eps and
     all sell; applicants not drawn receive no offer. Slot-two applicants are
-    always offered eps, which only decoys accept.
+    always offered eps. Prices are mechanism.commitment_price's, and every
+    class settles by mechanism.settle.
     """
     if min(profile.real_s1, profile.real_s2, profile.decoy_s1, profile.decoy_s2) < 0:
         raise ProfileError("negative applicant count")
@@ -189,21 +190,10 @@ def run_commitment(
             f"real applicants sum to {profile.real_s1 + profile.real_s2}, "
             f"expected {game.total_real}"
         )
-    v, eps = game.real_value, game.epsilon
-    zero = Fraction(0)
-    prices: dict[tuple[str, str], ClassPayment] = {}
-    if profile.real_s2:
-        prices[(REAL, S2)] = ClassPayment(eps, False, profile.real_s2, zero)
-    if profile.decoy_s2:
-        paid = eps * profile.decoy_s2
-        prices[(DECOY, S2)] = ClassPayment(eps, True, profile.decoy_s2, paid)
-
+    offered = {(REAL, S2): profile.real_s2, (DECOY, S2): profile.decoy_s2}
     overflow = profile.slot1_total > game.total_real
     if overflow:
-        if profile.real_s1:
-            prices[(REAL, S1)] = ClassPayment(zero, False, profile.real_s1, zero)
-        if profile.decoy_s1:
-            prices[(DECOY, S1)] = ClassPayment(zero, False, profile.decoy_s1, zero)
+        offered[(REAL, S1)], offered[(DECOY, S1)] = profile.real_s1, profile.decoy_s1
         winners_real = winners_decoy = 0
     else:
         pool = [REAL] * profile.real_s1 + [DECOY] * profile.decoy_s1
@@ -213,14 +203,13 @@ def run_commitment(
             pool[i], pool[j] = pool[j], pool[i]
         winners_real = pool[:need].count(REAL)
         winners_decoy = need - winners_real
-        if winners_real:
-            prices[(REAL, S1)] = ClassPayment(v + eps, True, winners_real,
-                                              (v + eps) * winners_real)
-        if winners_decoy:
-            prices[(DECOY, S1)] = ClassPayment(v + eps, True, winners_decoy,
-                                               (v + eps) * winners_decoy)
-
-    expenditure = sum((p.paid for p in prices.values()), zero)
+        offered[(REAL, S1)], offered[(DECOY, S1)] = winners_real, winners_decoy
+    v, eps = game.real_value, game.epsilon
+    prices: dict[tuple[str, str], ClassPayment] = {
+        (voter_type, slot): settle(voter_type, commitment_price(slot, overflow, v, eps), count, v)
+        for (voter_type, slot), count in offered.items() if count
+    }
+    expenditure = sum((p.paid for p in prices.values()), Fraction(0))
     return CommitmentOutcome(
         overflow=overflow,
         winners_real=winners_real,
@@ -240,14 +229,13 @@ def commitment_payoff(
     drawn with probability target / slot1_total (capped at one when fewer
     apply than the target).
     """
-    v, eps = game.real_value, game.epsilon
-    valuation = v if voter_type == REAL else Fraction(0)
-    if slot == S2:
-        return valuation if eps <= valuation else eps
-    if slot1_total > game.total_real:
-        return valuation  # offered zero, nobody sells
+    v = game.real_value
+    overflow = slot == S1 and slot1_total > game.total_real
+    offer = voter_payoff(voter_type, commitment_price(slot, overflow, v, game.epsilon), v)
+    if slot == S2 or overflow:
+        return offer
     p_win = min(Fraction(1), Fraction(game.purchase_target, slot1_total))
-    return p_win * (v + eps) + (1 - p_win) * valuation
+    return p_win * offer + (1 - p_win) * valuation(voter_type, v)
 
 
 def _commitment_is_nash(
@@ -341,10 +329,12 @@ def run_lemons(
     )
     outcome = run_commitment(game, profile, rng)
     purchased = outcome.winners_real + outcome.winners_decoy == 1
+    winner = outcome.prices_paid.get((REAL if outcome.winners_real else DECOY, S1))
+    slot2 = outcome.prices_paid.get((DECOY, S2))
     return LemonsOutcome(
         purchased=purchased,
         purchased_good=(outcome.winners_real == 1) if purchased else None,
-        price=(v + epsilon) if purchased else None,
+        price=winner.price if purchased else None,
         expenditure=outcome.expenditure,
-        bad_sellers_paid=profile.decoy_s2,
+        bad_sellers_paid=slot2.count if slot2 and slot2.sells else 0,
     )

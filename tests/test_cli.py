@@ -1,9 +1,11 @@
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from devilsmenu import ScenarioFormatError
+from devilsmenu import ScenarioFormatError, execute
 from devilsmenu.cli import main, parse_profile_file, parse_scenario_file, scenario_echo
 
 GOOD = {
@@ -153,7 +155,7 @@ def test_cli_enumerate_scan_cap(tmp_path, capsys):
     path = write(tmp_path, GOOD)
     assert main(["enumerate", "--scenario", path, "--scan-cap", "10"]) == 2
     err = capsys.readouterr().err
-    assert "729" in err
+    assert "needs 27 candidates" in err
 
 
 def test_cli_verify_small_family_and_alias(tmp_path, capsys):
@@ -278,3 +280,57 @@ def test_cli_unknown_subcommand_exits_2():
 def test_cli_missing_scenario_file(capsys):
     assert main(["run", "--scenario", "/nonexistent/path.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "three-districts.json"
+
+
+@pytest.mark.parametrize("argv", [["--mc", "-5"], ["--workers", "0"], ["--workers", "-1"]])
+def test_cli_rejects_negative_mc_and_workers_below_one(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--scenario", write(tmp_path, GOOD)] + argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[0] in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "weak4-unique", "--family", "small"],
+    ["run", "--scenario", str(SHIPPED), "--mc", "500"],
+])
+def test_cli_two_workers_match_one(tmp_path, capsys, argv):
+    outputs = []
+    for workers in ("1", "2"):
+        csv = tmp_path / f"workers{workers}.csv"
+        assert main(argv + ["--workers", workers, "--out", str(csv)]) == 0
+        outputs.append((capsys.readouterr().out, csv.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("rows", [
+    # below {0}, tied {1, 2}: one of two tied districts is drawn per run
+    [{"real_s1": 1, "real_s2": 1, "decoy_s2": 2},
+     {"real_s1": 2, "decoy_s2": 2}, {"real_s1": 2, "decoy_s2": 2}],
+    # tied {0, 1} with q = 2: the draw is degenerate
+    [{"real_s1": 1, "real_s2": 1, "decoy_s2": 2},
+     {"real_s1": 1, "real_s2": 1, "decoy_s2": 2}, {"real_s1": 2, "decoy_s2": 2}],
+])
+def test_cli_monte_carlo_replays_execute(tmp_path, capsys, rows):
+    # Monte Carlo classifies once and redraws per run; its counts must equal
+    # full runs of the mechanism with run i seeded by seed XOR i.
+    path = write(tmp_path, dict(GOOD, q=2))
+    profile = write(tmp_path, {"districts": rows}, "profile.json")
+    out = tmp_path / "mc.csv"
+    runs = 400
+    assert main(["run", "--scenario", path, "--profile", profile,
+                 "--mc", str(runs), "--out", str(out)]) == 0
+    capsys.readouterr()
+    got = [int(line.split(",")[1]) for line in out.read_text().splitlines()[2:]]
+    s = parse_scenario_file(path)
+    p = parse_profile_file(profile, s)
+    expected = [0] * s.num_districts
+    for i in range(runs):
+        for k in execute(s, p, random.Random(s.seed ^ i)).selected:
+            expected[k] += 1
+    assert got == expected

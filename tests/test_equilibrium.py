@@ -218,11 +218,20 @@ def test_enumerate_strong4_records_extras_without_asserting():
 
 
 def test_enumerate_scan_cap():
+    # The filtered scan checks only decoy splits: 3 per district, 27 in all.
     s = sym(3, 2, 2, 1)
     with pytest.raises(ScanCapExceeded) as err:
-        enumerate_equilibria(s, scan_cap=100)
-    assert err.value.required == 729
-    assert "729" in str(err.value)
+        enumerate_equilibria(s, scan_cap=10)
+    assert err.value.required == 27
+    assert "27 candidates" in str(err.value)
+
+
+def test_enumerate_cap_counts_candidates_not_profiles():
+    # 6 x (3,3) spans 4^12 = 16777216 profiles but only 4^6 = 4096 decoy
+    # splits are checked, well under the default cap.
+    report = enumerate_equilibria(sym(6, 3, 3, 3))
+    assert report.sigma_star_unique
+    assert report.profiles_scanned == 4 ** 12
 
 
 def test_enumerate_unfiltered_has_more_equilibria():

@@ -12,6 +12,7 @@ from devilsmenu import (
     budget_bound,
     classify,
     execute,
+    expected_expenditure,
     minimal_delta,
     price_for,
     select_districts,
@@ -189,6 +190,21 @@ def test_sell_decision_tie_break():
 
 
 # ------------------------------------------------------------------ execute
+
+
+def test_execute_prices_a_degenerate_draw_as_outright():
+    # Six-price menu, q = 2, districts 0 and 1 tied at ratio 1/2: the whole
+    # tie set goes through, so their slot-two applicants get V - eps, not delta.
+    s = sym(3, 2, 2, 2, menu=MenuVariant.STRONG6, delta=DELTA)
+    p = CountProfile.from_counts((
+        (1, 1, 0, 0, 2, 0),
+        (1, 1, 0, 0, 2, 0),
+        (2, 0, 0, 0, 2, 0),
+    ))
+    out = execute(s, p, random.Random(0))
+    assert out.selected == {0, 1}
+    assert out.prices_paid[(0, DECOY, S2)].price == V - EPS
+    assert out.expenditure == expected_expenditure(s, p)
 
 
 def test_execute_sigma_star_costs_282():

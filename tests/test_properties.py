@@ -23,7 +23,9 @@ from devilsmenu import (
     validate_scenario,
 )
 from devilsmenu.equilibrium import VoterClass
-from devilsmenu.mechanism import ABSTAIN, DECOY, REAL, S1, S2, CountProfile
+from devilsmenu.mechanism import (
+    ABSTAIN, DECOY, REAL, S1, S2, CountProfile, payments_for_selection,
+)
 from oracles import oracle_expected_expenditure, oracle_expected_payoff, oracle_expenditure_bound
 
 MENUS = (MenuVariant.WEAK4, MenuVariant.STRONG4, MenuVariant.STRONG6)
@@ -132,6 +134,19 @@ def test_closed_forms_match_enumeration(sp):
     assert strong6_expenditure_bound(s) == oracle_expenditure_bound(s, 3 * eps, 3 * eps)
     if s.menu.tag == "weak4":
         assert budget_bound(s) == oracle_expenditure_bound(s, s.delta, 2 * eps)
+
+
+@given(scenario_and_profile())
+@settings(max_examples=60, deadline=None)
+def test_realized_spend_averages_to_expected_spend(sp):
+    # A run's settlement and the expected spend must price each final status
+    # alike: over every equally likely draw, realized spend averages out to
+    # the expected spend.
+    s, p = sp
+    cl = classify(s, p)
+    draws = list(combinations(sorted(cl.tied), s.target_count - cl.c))
+    spends = [payments_for_selection(s, p, cl, cl.below | frozenset(d))[1] for d in draws]
+    assert sum(spends) / len(draws) == expected_expenditure(s, p)
 
 
 @given(scenario_and_profile())

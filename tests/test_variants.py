@@ -19,6 +19,7 @@ from devilsmenu import (
     verify_subgame_perfect,
 )
 from devilsmenu.mechanism import DECOY, REAL, S1, S2, CountProfile
+from devilsmenu.variants import commitment_payoff
 
 V = Fraction(100)
 EPS = Fraction(1)
@@ -165,6 +166,17 @@ def test_commitment_mixed_slot_one_pool_draws_by_type():
         assert out.acquired_real_ballots == out.winners_real
         seen.add((out.winners_real, out.winners_decoy))
     assert seen == {(2, 0), (1, 1)}
+
+
+def test_commitment_run_settles_like_the_expected_payoff():
+    # eps above V: the slot-two offer beats a real voter's valuation, so a
+    # real slot-two applicant sells in a run exactly as the payoff says.
+    game = CommitmentGame(2, 1, Fraction(10), Fraction(15))
+    out = run_commitment(game, CommitmentProfile(1, 1, 0, 2), random.Random(0))
+    pay = out.prices_paid[(REAL, S2)]
+    assert pay.sells and pay.paid == 15
+    assert commitment_payoff(game, 1, REAL, S2) == 15
+    assert out.expenditure == (10 + 15) + 15 + 2 * 15
 
 
 def test_commitment_rejects_wrong_real_total():
