@@ -19,7 +19,7 @@ from .equilibrium import (
     tie_payoff_gap_holds,
     verify_sabotage_bound,
 )
-from .mechanism import CountProfile, minimal_delta, require_delta_at_least
+from .mechanism import CountProfile, minimal_delta, require_delta_at_least, tie_price_floor
 from .model import MenuVariant, Scenario, make_scenario
 from .variants import verify_subgame_perfect
 
@@ -67,14 +67,6 @@ def _menu_scenario(districts, q: int, menu: MenuVariant, delta: Fraction) -> Sce
     return make_scenario(districts, V_DEFAULT, EPS_DEFAULT, delta, q, menu=menu)
 
 
-def _delta_for(menu: MenuVariant, k: int, q: int) -> Fraction:
-    if menu.tag == "weak4":
-        return Fraction(q, k) * V_DEFAULT + 2 * EPS_DEFAULT
-    if menu.tag == "strong6":
-        return Fraction(3 * EPS_DEFAULT)
-    return Fraction(2 * EPS_DEFAULT)  # strong4: pinned
-
-
 def menu_family(
     menu: MenuVariant,
     kbar_values: tuple[int, ...] = (2, 3, 4),
@@ -90,7 +82,8 @@ def menu_family(
     for k in kbar_values:
         for districts in itertools.combinations_with_replacement(pairs, k):
             for q in range(1, k):
-                yield _menu_scenario(districts, q, menu, _delta_for(menu, k, q))
+                yield _menu_scenario(districts, q, menu,
+                                     tie_price_floor(menu, k, q, V_DEFAULT, EPS_DEFAULT))
 
 
 def sequential_family(
@@ -101,7 +94,8 @@ def sequential_family(
     for k in kbar_values:
         for r, d in itertools.product(counts, counts):
             for q in range(1, k):
-                delta = Fraction(1, k - q + 1) * V_DEFAULT + 2 * EPS_DEFAULT
+                delta = tie_price_floor(MenuVariant.WEAK4, k, q, V_DEFAULT, EPS_DEFAULT,
+                                        sequential=True)
                 yield _menu_scenario([(r, d)] * k, q, MenuVariant.WEAK4, delta)
 
 

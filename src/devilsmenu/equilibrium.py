@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Optional
+from itertools import chain, combinations_with_replacement, product
+from math import prod
+from typing import Iterator, Optional
 
 from .mechanism import (
     ABSTAIN,
@@ -56,6 +57,7 @@ class EquilibriumReport:
     sigma_star_unique: bool
     dominance_filtered: bool
     profiles_scanned: int
+    candidates_checked: int
 
 
 class _Ctx:
@@ -65,6 +67,11 @@ class _Ctx:
     expected payoffs by (own interim status, c, t, type, action); both spaces
     are tiny at desk scale, so repeated deviation checks reduce to dict hits.
     Prices come from the scenario's mechanism.price_table.
+
+    The interim partition compares integer ranks instead of ratios: every
+    slot-one ratio m / real_k a district can reach (m in 0..real_k+decoy_k)
+    is sorted once, and equal ratios share a rank, so the partition over the
+    ranks is exactly the partition over the ratios.
     """
 
     def __init__(self, s: Scenario):
@@ -73,6 +80,10 @@ class _Ctx:
         self.n_real = tuple(d.real_count for d in s.districts)
         self.n_decoy = tuple(d.decoy_count for d in s.districts)
         self.prices = price_table(s)
+        reachable = [[Fraction(m, n) for m in range(n + d + 1)]
+                     for n, d in zip(self.n_real, self.n_decoy)]
+        rank = {r: i for i, r in enumerate(sorted(set(chain.from_iterable(reachable))))}
+        self._ranks = tuple(tuple(rank[r] for r in rs) for rs in reachable)
         self._interim: dict[tuple[int, ...], tuple[tuple[str, ...], int, int]] = {}
         self._payoff: dict[tuple, Fraction] = {}
 
@@ -80,11 +91,20 @@ class _Ctx:
         """(status per district, c, t) for slot-one applicant counts m."""
         got = self._interim.get(m)
         if got is None:
-            _, statuses = interim_partition(
-                [Fraction(mk, nk) for mk, nk in zip(m, self.n_real)], self.q)
+            _, statuses = interim_partition(self._rank_keys(m), self.q)
             got = (statuses, statuses.count(BELOW), statuses.count(TIED))
             self._interim[m] = got
         return got
+
+    def _rank_keys(self, m: tuple[int, ...]) -> list[int]:
+        """The rank of each district's slot-one ratio m_k / real_k."""
+        if len(m) == len(self._ranks) and min(m, default=0) >= 0:
+            try:
+                return [rk[mk] for mk, rk in zip(m, self._ranks)]
+            except IndexError:
+                pass
+        raise ProfileError(f"slot-one counts {m} are outside 0..real+decoy "
+                           f"for districts {tuple(zip(self.n_real, self.n_decoy))}")
 
     def payoff(self, status: str, c: int, t: int, voter_type: str, action: str) -> Fraction:
         """Expected payoff of one voter given his district's interim status."""
@@ -214,6 +234,53 @@ def _compositions3(n: int) -> list[tuple[int, int, int]]:
     return [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
 
 
+def _distinct_permutations(items: tuple) -> Iterator[tuple]:
+    """Every distinct ordering of the ascending tuple items, once each, in
+    lexicographic order (the next-permutation step)."""
+    a = list(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def _orbit_scan(ctx: _Ctx, options: list[list[tuple]], filtered: bool) -> tuple[list, int]:
+    """The equilibria among product(*options), in product order, and the
+    number of Nash checks run.
+
+    Districts with the same (real, decoy) counts have the same options and
+    commute: permuting their choices permutes the statuses and keeps the
+    verdict. So one representative per multiset of their choices is
+    checked, and only equilibria are expanded to every distinct arrangement.
+    Each options list is ascending, so product order is the sorted order of
+    the count tuples.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, key in enumerate(zip(ctx.n_real, ctx.n_decoy)):
+        groups.setdefault(key, []).append(k)
+    order = [k for ks in groups.values() for k in ks]
+    place = sorted(range(len(order)), key=order.__getitem__)  # district -> flat position
+    orbits = [list(combinations_with_replacement(options[ks[0]], len(ks)))
+              for ks in groups.values()]
+    found = []
+    for rep in product(*orbits):
+        flat = tuple(chain.from_iterable(rep))
+        if _is_nash_counts(ctx, tuple(flat[i] for i in place), filtered):
+            for arrangement in product(*map(_distinct_permutations, rep)):
+                flat = tuple(chain.from_iterable(arrangement))
+                found.append(tuple(flat[i] for i in place))
+    found.sort()
+    return found, prod(map(len, orbits))
+
+
 def enumerate_equilibria(
     s: Scenario,
     filter_dominated: bool = True,
@@ -225,49 +292,40 @@ def enumerate_equilibria(
     count profiles. Profiles with any real voter on slot two fail the
     dominance screen regardless of decoy placement, so they are rejected
     wholesale and only the decoy splits, (decoy+1) candidates per district,
-    run the deviation checks. The scan cap bounds the candidates;
-    profiles_scanned reports the full space. Unfiltered scan space: all
-    three-action count splits per type, every one a candidate.
+    are candidates. The scan cap bounds the candidates; profiles_scanned
+    reports the full space. Unfiltered scan space: all three-action count
+    splits per type, every one a candidate. Either way one candidate per
+    orbit of identical districts runs the deviation checks, and
+    candidates_checked counts those.
     """
     ctx = _ctx_for(s)
-    sigma = CountProfile.sigma_star(s).as_counts()
-    equilibria: list[CountProfile] = []
-
     if filter_dominated:
         space = candidates = 1
         for r, d in zip(ctx.n_real, ctx.n_decoy):
             space *= (r + 1) * (d + 1)
             candidates *= d + 1
-        if candidates > scan_cap:
-            raise ScanCapExceeded(candidates, scan_cap)
         options = [
             [(r, 0, 0, d1, d - d1, 0) for d1 in range(d + 1)]
             for r, d in zip(ctx.n_real, ctx.n_decoy)
         ]
-        for counts in product(*options):
-            if _is_nash_counts(ctx, counts, True):
-                equilibria.append(CountProfile.from_counts(counts))
     else:
-        space = 1
-        for r, d in zip(ctx.n_real, ctx.n_decoy):
-            space *= len(_compositions3(r)) * len(_compositions3(d))
-        if space > scan_cap:
-            raise ScanCapExceeded(space, scan_cap)
+        space = candidates = prod(len(_compositions3(r)) * len(_compositions3(d))
+                                  for r, d in zip(ctx.n_real, ctx.n_decoy))
         options = [
             [rc + dc for rc in _compositions3(r) for dc in _compositions3(d)]
             for r, d in zip(ctx.n_real, ctx.n_decoy)
         ]
-        for counts in product(*options):
-            if _is_nash_counts(ctx, counts, False):
-                equilibria.append(CountProfile.from_counts(counts))
-
-    present = any(e.as_counts() == sigma for e in equilibria)
+    if candidates > scan_cap:
+        raise ScanCapExceeded(candidates, scan_cap)
+    found, checked = _orbit_scan(ctx, options, filter_dominated)
+    present = CountProfile.sigma_star(s).as_counts() in found
     return EquilibriumReport(
-        equilibria=tuple(equilibria),
+        equilibria=tuple(CountProfile.from_counts(counts) for counts in found),
         sigma_star_present=present,
-        sigma_star_unique=present and len(equilibria) == 1,
+        sigma_star_unique=present and len(found) == 1,
         dominance_filtered=filter_dominated,
         profiles_scanned=space,
+        candidates_checked=checked,
     )
 
 

@@ -18,7 +18,9 @@ from .model import (
     DeltaBelowThreshold,
     MenuVariant,
     ProfileError,
+    RationalLike,
     Scenario,
+    parse_rational,
     top_q_sum,
 )
 
@@ -401,23 +403,32 @@ def strong6_expenditure_bound(s: Scenario) -> Fraction:
 
 
 def minimal_delta(s: Scenario, sequential: bool = False) -> Fraction:
-    """Smallest tie price under which the target profile is provably the unique equilibrium.
+    """Smallest tie price under which the target profile is provably the unique
+    equilibrium of s; see tie_price_floor."""
+    return tie_price_floor(s.menu, s.num_districts, s.target_count,
+                           s.real_value, s.epsilon, sequential)
+
+
+def tie_price_floor(menu: MenuVariant, k: int, q: int, v: RationalLike,
+                    epsilon: RationalLike, sequential: bool = False) -> Fraction:
+    """Smallest tie price under which the target profile is provably the unique
+    equilibrium, for k districts, target q, real value v and price unit epsilon.
 
     Four-price menu: (q / k) * V + 2*eps one-shot, V / (k - q + 1) + 2*eps when
     run sequentially one district per date. Six-price menu: 3*eps. The pinned
     strong menu has no free tie price; its value is 2*eps by construction.
     """
-    k, q = s.num_districts, s.target_count
+    v, eps = parse_rational(v), parse_rational(epsilon)
     if sequential:
-        if s.menu.tag != "weak4":
+        if menu.tag != "weak4":
             raise ValueError("sequential runs use the weak four-price menu")
-        return Fraction(1, k - q + 1) * s.real_value + 2 * s.epsilon
-    if s.menu.tag == "weak4":
-        return Fraction(q, k) * s.real_value + 2 * s.epsilon
-    if s.menu.tag == "strong6":
-        return 3 * s.epsilon
-    if s.menu.tag == "strong4":
-        return 2 * s.epsilon
+        return Fraction(1, k - q + 1) * v + 2 * eps
+    if menu.tag == "weak4":
+        return Fraction(q, k) * v + 2 * eps
+    if menu.tag == "strong6":
+        return 3 * eps
+    if menu.tag == "strong4":
+        return 2 * eps
     raise ValueError("the commitment menu has no tie price")
 
 

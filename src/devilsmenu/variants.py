@@ -289,6 +289,7 @@ def verify_commitment_equilibrium(
         sigma_star_unique=present and len(equilibria) == 1,
         dominance_filtered=filter_dominated,
         profiles_scanned=space,
+        candidates_checked=space,
     )
 
 

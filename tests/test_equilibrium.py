@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from conftest import scenario_for, sym
+from conftest import full_scan, scenario_for, sym
 from devilsmenu import (
     MenuVariant,
     ProfileError,
@@ -16,12 +17,15 @@ from devilsmenu import (
     tie_payoff_gap_holds,
     verify_sabotage_bound,
 )
+from devilsmenu.claims import family_for
 from devilsmenu.equilibrium import (
     VoterClass,
+    _Ctx,
+    _distinct_permutations,
     real_deviation_expenditures,
     single_deviation_profile,
 )
-from devilsmenu.mechanism import DECOY, REAL, S1, S2, ABSTAIN, CountProfile
+from devilsmenu.mechanism import DECOY, REAL, S1, S2, TIED, ABSTAIN, CountProfile
 from oracles import oracle_expected_expenditure, oracle_expected_payoff, per_citizen_equilibria
 
 V = Fraction(100)
@@ -251,6 +255,57 @@ def test_enumeration_matches_per_citizen_oracle_small():
         mine = {e.as_counts() for e in enumerate_equilibria(s, filter_dominated=filtered).equilibria}
         oracle = per_citizen_equilibria(s, filtered)
         assert mine == oracle
+
+
+def test_candidates_checked_counts_orbit_representatives():
+    # One Nash check per multiset of decoy splits over identical districts:
+    # C(5+3-1, 3) * C(6+2-1, 2) * C(4+2-1, 2) = 35 * 21 * 10 of 72,000 splits.
+    wide = scenario_for([(3, 4)] * 3 + [(2, 5)] * 2 + [(4, 3)] * 2, 3)
+    report = enumerate_equilibria(wide)
+    assert report.candidates_checked == 7350
+    assert report.profiles_scanned == (4 * 5) ** 3 * (3 * 6) ** 2 * (5 * 4) ** 2
+    assert report.sigma_star_unique
+    assert enumerate_equilibria(sym(6, 3, 3, 3)).candidates_checked == 84  # C(9, 6)
+    assert enumerate_equilibria(sym(3, 2, 2, 1)).candidates_checked == 10  # C(5, 3)
+
+
+def test_orbit_scan_on_ten_identical_districts():
+    report = enumerate_equilibria(sym(10, 3, 3, 5))
+    assert report.sigma_star_unique
+    assert report.candidates_checked == 286  # C(13, 10) of 4^10 splits
+    assert report.profiles_scanned == 4 ** 20
+
+
+@pytest.mark.parametrize("claim", ["weak4-unique", "strong6-unique", "strong4-sigma-star"])
+def test_orbit_scan_equals_full_scan_on_small_family(claim):
+    for s in family_for(claim, "small"):
+        got = tuple(e.as_counts() for e in enumerate_equilibria(s).equilibria)
+        assert got == full_scan(s, True), s
+
+
+def test_orbit_scan_expands_every_arrangement_in_order():
+    # Unfiltered, identical districts hold equilibria that differ between
+    # districts; each orbit must come back as every arrangement, in the
+    # full scan's order.
+    for s in (scenario_for([(1, 1)] * 3, 1), scenario_for([(1, 2), (1, 1), (1, 2)], 1)):
+        report = enumerate_equilibria(s, filter_dominated=False)
+        got = tuple(e.as_counts() for e in report.equilibria)
+        assert any(c[0] != c[2] for c in got)
+        assert got == full_scan(s, False)
+        assert report.candidates_checked < report.profiles_scanned
+
+
+@pytest.mark.parametrize("items", [(), (1,), (1, 1, 1), (0, 1, 1, 2), (0, 0, 1, 1, 3)])
+def test_distinct_permutations_lists_each_ordering_once(items):
+    assert list(_distinct_permutations(items)) == sorted(set(permutations(items)))
+
+
+def test_interim_rank_lookup_rejects_unreachable_counts():
+    ctx = _Ctx(sym(3, 2, 2, 1))
+    assert ctx.interim((4, 4, 4)) == ((TIED,) * 3, 0, 3)
+    for m in ((-1, 2, 2), (2, 5, 2), (2, 2), (2, 2, 2, 2)):
+        with pytest.raises(ProfileError):
+            ctx.interim(m)
 
 
 # ----------------------------------------------------------------- sabotage

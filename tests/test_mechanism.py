@@ -20,6 +20,7 @@ from devilsmenu import (
     strong4_expenditure_bound,
     strong6_expenditure_bound,
 )
+from devilsmenu.claims import CANONICAL, family_for
 from devilsmenu.mechanism import (
     DECOY,
     NOT_SELECTED,
@@ -299,6 +300,15 @@ def test_minimal_delta_values():
     assert minimal_delta(sym(3, 2, 2, 2), sequential=True) == 52
     assert minimal_delta(sym(3, 2, 2, 1, menu=MenuVariant.STRONG6)) == 3
     assert minimal_delta(sym(3, 2, 2, 1, menu=MenuVariant.STRONG4)) == 2
+
+
+@pytest.mark.parametrize("claim", CANONICAL)
+def test_every_family_member_sits_at_its_minimal_delta(claim):
+    sequential = claim == "sequential-spe"
+    members = list(family_for(claim, "full"))
+    assert members
+    for s in members:
+        assert s.delta == minimal_delta(s, sequential=sequential), s
 
 
 def test_expenditure_within_bound_over_all_draws():

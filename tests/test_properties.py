@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,10 +22,12 @@ from devilsmenu import (
     validate_budget,
     validate_scenario,
 )
-from devilsmenu.equilibrium import VoterClass
+from devilsmenu.equilibrium import VoterClass, _Ctx, enumerate_equilibria
 from devilsmenu.mechanism import (
-    ABSTAIN, DECOY, REAL, S1, S2, CountProfile, payments_for_selection,
+    ABSTAIN, BELOW, DECOY, REAL, S1, S2, TIED, CountProfile, interim_partition,
+    payments_for_selection,
 )
+from conftest import full_scan
 from oracles import oracle_expected_expenditure, oracle_expected_payoff, oracle_expenditure_bound
 
 MENUS = (MenuVariant.WEAK4, MenuVariant.STRONG4, MenuVariant.STRONG6)
@@ -212,3 +214,42 @@ def test_budget_check_monotone_and_exhaustive(districts, q, budget):
     richer = make_scenario(districts, 100, 1, 36, q, budget=budget + 1)
     if validate_budget(s):
         assert validate_budget(richer)
+
+
+@st.composite
+def repeated_districts(draw):
+    """A scenario whose districts repeat one or two (real, decoy) types, and a
+    filter mode. Unfiltered instances stay small enough for a full scan."""
+    filtered = draw(st.booleans())
+    if filtered:
+        k, kind = draw(st.integers(2, 4)), st.tuples(st.integers(1, 3), st.integers(1, 2))
+    else:
+        k, kind = draw(st.integers(2, 3)), st.sampled_from([(1, 1), (1, 2), (2, 1)])
+    types = draw(st.lists(kind, min_size=1, max_size=2))
+    districts = [draw(st.sampled_from(types)) for _ in range(k)]
+    menu = draw(st.sampled_from(MENUS))
+    top = 99 if menu.tag == "weak4" else 10
+    delta = draw(st.fractions(min_value=Fraction(1, 2), max_value=top, max_denominator=8))
+    s = make_scenario(districts, 100, 1, delta, draw(st.integers(1, k)), menu=menu)
+    return s, filtered
+
+
+@given(repeated_districts())
+@settings(max_examples=40, deadline=None)
+def test_orbit_scan_equals_full_scan(sf):
+    s, filtered = sf
+    report = enumerate_equilibria(s, filter_dominated=filtered)
+    assert tuple(e.as_counts() for e in report.equilibria) == full_scan(s, filtered)
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1, max_size=4),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_rank_keyed_interim_equals_ratio_partition(districts, data):
+    q = data.draw(st.integers(1, len(districts)))
+    ctx = _Ctx(make_scenario(districts, 100, 1, 36, q))
+    for m in product(*(range(r + d + 1) for r, d in districts)):
+        _, statuses = interim_partition([Fraction(mk, r) for mk, (r, _) in zip(m, districts)], q)
+        assert ctx.interim(m) == (statuses, statuses.count(BELOW), statuses.count(TIED))
