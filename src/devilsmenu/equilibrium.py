@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
-from math import prod
+from math import lcm, prod
 from typing import Iterator, Optional
 
 from .mechanism import (
@@ -27,14 +27,14 @@ from .mechanism import (
     TIED,
     CountProfile,
     budget_bound,
-    district_payments,
     interim_partition,
     price_table,
+    settle,
     status_odds,
     valuation,
     voter_payoff,
 )
-from .model import ProfileError, ScanCapExceeded, Scenario
+from .model import MenuVariant, ProfileError, ScanCapExceeded, Scenario
 
 DEFAULT_SCAN_CAP = 5_000_000
 
@@ -60,47 +60,70 @@ class EquilibriumReport:
     candidates_checked: int
 
 
+class _PricingTables:
+    """The exact tables of one pricing (menu, q, V, eps, delta), which every
+    scenario with that pricing shares: expected payoffs by (status, c, t,
+    type, action), deviation verdicts by (interim key before, interim key
+    after, type, action, alternative), and per-voter expected spends by
+    (status, c, t), where an interim key is (status, c, t). None of them
+    depends on the districts. _Ctx fills and reads them.
+    """
+
+    def __init__(self, menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
+                 delta: Fraction):
+        self.q, self.v = q, v
+        self.prices = price_table(menu, v, epsilon, delta)
+        self.payoffs: dict[tuple, Fraction] = {}
+        self.verdicts: dict[tuple, bool] = {}
+        self.spends: dict[tuple, tuple[Fraction, ...]] = {}
+
+
+@lru_cache(maxsize=32)
+def _pricing_tables(menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
+                    delta: Fraction) -> _PricingTables:
+    return _PricingTables(menu, q, v, epsilon, delta)
+
+
 class _Ctx:
-    """Per-scenario caches for the enumeration hot path.
+    """Caches for the enumeration hot path.
 
-    interim classifications are keyed by the slot-one applicant vector, and
-    expected payoffs by (own interim status, c, t, type, action); both spaces
-    are tiny at desk scale, so repeated deviation checks reduce to dict hits.
-    Prices come from the scenario's mechanism.price_table.
+    Per scenario: the interim dict, keyed by the slot-one applicant vector m
+    and holding (status per district, c, t). Per pricing: the payoff,
+    verdict and spend dicts of the scenario's _PricingTables, keyed by
+    interim keys (status, c, t), so every scenario with the same menu, q,
+    V, eps and delta reuses them. Every verdict comes from an exact
+    Fraction comparison; the tables only remember results.
 
-    The interim partition compares integer ranks instead of ratios: every
-    slot-one ratio m / real_k a district can reach (m in 0..real_k+decoy_k)
-    is sorted once, and equal ratios share a rank, so the partition over the
-    ranks is exactly the partition over the ratios.
+    The interim partition compares exact integer slot-one keys instead of
+    ratios: with L the lcm of the real counts, district k's ratio m / real_k
+    is keyed m * (L / real_k), which orders and equates like the ratio.
     """
 
     def __init__(self, s: Scenario):
-        self.s = s
-        self.q = s.target_count
         self.n_real = tuple(d.real_count for d in s.districts)
         self.n_decoy = tuple(d.decoy_count for d in s.districts)
-        self.prices = price_table(s)
-        reachable = [[Fraction(m, n) for m in range(n + d + 1)]
-                     for n, d in zip(self.n_real, self.n_decoy)]
-        rank = {r: i for i, r in enumerate(sorted(set(chain.from_iterable(reachable))))}
-        self._ranks = tuple(tuple(rank[r] for r in rs) for rs in reachable)
+        tables = _pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
+        self.q, self.v, self.prices = tables.q, tables.v, tables.prices
+        self._payoff, self._verdict, self._spend = tables.payoffs, tables.verdicts, tables.spends
+        scale = lcm(*self.n_real)
+        self._slot1_keys = tuple(range(0, (n + d) * (scale // n) + 1, scale // n)
+                                 for n, d in zip(self.n_real, self.n_decoy))
         self._interim: dict[tuple[int, ...], tuple[tuple[str, ...], int, int]] = {}
-        self._payoff: dict[tuple, Fraction] = {}
 
     def interim(self, m: tuple[int, ...]) -> tuple[tuple[str, ...], int, int]:
         """(status per district, c, t) for slot-one applicant counts m."""
         got = self._interim.get(m)
         if got is None:
-            _, statuses = interim_partition(self._rank_keys(m), self.q)
+            _, statuses = interim_partition(self._slot1_keys_of(m), self.q)
             got = (statuses, statuses.count(BELOW), statuses.count(TIED))
             self._interim[m] = got
         return got
 
-    def _rank_keys(self, m: tuple[int, ...]) -> list[int]:
-        """The rank of each district's slot-one ratio m_k / real_k."""
-        if len(m) == len(self._ranks) and min(m, default=0) >= 0:
+    def _slot1_keys_of(self, m: tuple[int, ...]) -> list[int]:
+        """The integer key of each district's slot-one ratio m_k / real_k."""
+        if len(m) == len(self._slot1_keys) and min(m, default=0) >= 0:
             try:
-                return [rk[mk] for mk, rk in zip(m, self._ranks)]
+                return [keys[mk] for mk, keys in zip(m, self._slot1_keys)]
             except IndexError:
                 pass
         raise ProfileError(f"slot-one counts {m} are outside 0..real+decoy "
@@ -111,13 +134,38 @@ class _Ctx:
         key = (status, c, t, voter_type, action)
         got = self._payoff.get(key)
         if got is None:
-            v = self.s.real_value
             if action == ABSTAIN:
-                got = valuation(voter_type, v)
+                got = valuation(voter_type, self.v)
             else:
-                got = sum(prob * voter_payoff(voter_type, self.prices[(action, final)], v)
+                got = sum(prob * voter_payoff(voter_type, self.prices[(action, final)], self.v)
                           for final, prob in status_odds(status, c, t, self.q))
             self._payoff[key] = got
+        return got
+
+    def gains(self, here: tuple[str, int, int], there: tuple[str, int, int],
+              voter_type: str, action: str, alt: str) -> bool:
+        """Whether a voter playing action at interim key here strictly gains by
+        playing alt, which leaves his district at interim key there."""
+        key = (here, there, voter_type, action, alt)
+        got = self._verdict.get(key)
+        if got is None:
+            got = self.payoff(*there, voter_type, alt) > self.payoff(*here, voter_type, action)
+            self._verdict[key] = got
+        return got
+
+    def spend(self, status: str, c: int, t: int) -> tuple[Fraction, ...]:
+        """Expected payment to one voter of each (type, action) class, in the
+        order of a counts tuple; abstainers receive no offer."""
+        key = (status, c, t)
+        got = self._spend.get(key)
+        if got is None:
+            odds = status_odds(status, c, t, self.q)
+            got = tuple(
+                Fraction(0) if action == ABSTAIN else
+                sum(prob * settle(voter_type, self.prices[(action, final)], 1, self.v).paid
+                    for final, prob in odds)
+                for voter_type, action in _CLASS_SLOTS)
+            self._spend[key] = got
         return got
 
 
@@ -130,7 +178,7 @@ def _slot1_vector(counts) -> tuple[int, ...]:
     return tuple(c[0] + c[3] for c in counts)
 
 
-_CLASS_SLOTS = {  # index of each (type, action) inside a counts tuple
+_CLASS_SLOTS = {  # index of each (type, action) inside a counts tuple, in that order
     (REAL, S1): 0, (REAL, S2): 1, (REAL, ABSTAIN): 2,
     (DECOY, S1): 3, (DECOY, S2): 4, (DECOY, ABSTAIN): 5,
 }
@@ -172,49 +220,39 @@ def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: 
     return _payoff_in(ctx, tuple(m), who.district, who.voter_type, new_action)
 
 
+# Every unilateral move of an occupied class: (index in a counts tuple,
+# type, action, alternative, change in the district's slot-one count).
+_MOVES = tuple((idx, voter_type, action, alt, (alt == S1) - (action == S1))
+               for (voter_type, action), idx in _CLASS_SLOTS.items()
+               for alt in ACTIONS if alt != action)
+# The filtered game keeps only undominated actions: nobody abstains and real
+# voters sit on slot one, so only decoys move, between the two slots.
+_FILTERED_MOVES = tuple(mv for mv in _MOVES
+                        if mv[1] == DECOY and ABSTAIN not in (mv[2], mv[3]))
+
+
 def _is_nash_counts(ctx: _Ctx, counts, filtered: bool) -> bool:
     if filtered:
-        # The filtered game keeps only undominated actions: nobody abstains
-        # and real voters sit on slot one. Other profiles are not part of the
+        # Profiles off the dominance screen are not part of the filtered
         # game and cannot be equilibria of it.
         for cnt in counts:
             if cnt[1] or cnt[2] or cnt[5]:
                 return False
+    moves = _FILTERED_MOVES if filtered else _MOVES
     m = _slot1_vector(counts)
     statuses, c, t = ctx.interim(m)
     for k, cnt in enumerate(counts):
-        status = statuses[k]
-        if filtered:
-            # Only decoys move, between the two slots.
-            if cnt[3]:
-                cur = ctx.payoff(status, c, t, DECOY, S1)
-                m2 = m[:k] + (m[k] - 1,) + m[k + 1:]
-                st2, c2, t2 = ctx.interim(m2)
-                if ctx.payoff(st2[k], c2, t2, DECOY, S2) > cur:
-                    return False
-            if cnt[4]:
-                cur = ctx.payoff(status, c, t, DECOY, S2)
-                m2 = m[:k] + (m[k] + 1,) + m[k + 1:]
-                st2, c2, t2 = ctx.interim(m2)
-                if ctx.payoff(st2[k], c2, t2, DECOY, S1) > cur:
-                    return False
-            continue
-        for voter_type in (REAL, DECOY):
-            for action in ACTIONS:
-                if cnt[_CLASS_SLOTS[(voter_type, action)]] == 0:
-                    continue
-                cur = ctx.payoff(status, c, t, voter_type, action)
-                for alt in ACTIONS:
-                    if alt == action:
-                        continue
-                    dm = (alt == S1) - (action == S1)
-                    if dm == 0:
-                        st2, c2, t2 = statuses, c, t
-                    else:
-                        m2 = m[:k] + (m[k] + dm,) + m[k + 1:]
-                        st2, c2, t2 = ctx.interim(m2)
-                    if ctx.payoff(st2[k], c2, t2, voter_type, alt) > cur:
-                        return False
+        here = (statuses[k], c, t)
+        for idx, voter_type, action, alt, dm in moves:
+            if not cnt[idx]:
+                continue
+            if dm:
+                st2, c2, t2 = ctx.interim(m[:k] + (m[k] + dm,) + m[k + 1:])
+                there = (st2[k], c2, t2)
+            else:
+                there = here
+            if ctx.gains(here, there, voter_type, action, alt):
+                return False
     return True
 
 
@@ -332,19 +370,21 @@ def enumerate_equilibria(
 def expected_expenditure(s: Scenario, p: CountProfile) -> Fraction:
     """Expected total payment under p, exact over the fair draw.
 
-    A district's payments depend only on its own final status, so each
-    district's class payments are weighted by the odds of its final
-    statuses; no draw is enumerated.
+    A voter's payment depends only on his class and his district's final
+    status, so the total is each class's count times its per-voter expected
+    spend over the status odds; no draw is enumerated.
     """
     p.check_against(s)
-    ctx = _ctx_for(s)
-    statuses, c, t = ctx.interim(_slot1_vector(p.as_counts()))
+    return _expected_spend(_ctx_for(s), p.as_counts())
+
+
+def _expected_spend(ctx: _Ctx, counts) -> Fraction:
+    statuses, c, t = ctx.interim(_slot1_vector(counts))
     total = Fraction(0)
-    for ac, interim in zip(p.per_district, statuses):
-        for final, prob in status_odds(interim, c, t, ctx.q):
-            paid = sum(pay.paid for _, _, pay in
-                       district_payments(ctx.prices, s.real_value, ac, final))
-            total += prob * paid
+    for cnt, status in zip(counts, statuses):
+        for n, per_voter in zip(cnt, ctx.spend(status, c, t)):
+            if n:
+                total += n * per_voter
     return total
 
 
@@ -396,9 +436,14 @@ def real_deviation_expenditures(s: Scenario) -> dict[int, Fraction]:
 def _lone_deviation_spends(s: Scenario, voter_type: str, new_action: str) -> dict[int, Fraction]:
     """Expected spend, per district k with a voter_type voter, after one of them
     leaves sigma-star for new_action."""
-    sizes = (d.real_count if voter_type == REAL else d.decoy_count for d in s.districts)
-    return {k: expected_expenditure(s, single_deviation_profile(s, k, voter_type, new_action))
-            for k, n in enumerate(sizes) if n}
+    ctx = _ctx_for(s)
+    sizes = ctx.n_real if voter_type == REAL else ctx.n_decoy
+    spends = {}
+    for k, n in enumerate(sizes):
+        if n:
+            moved = single_deviation_profile(s, k, voter_type, new_action)
+            spends[k] = _expected_spend(ctx, moved.as_counts())
+    return spends
 
 
 def tie_payoff_gap_holds(s: Scenario) -> bool:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     DeltaBelowThreshold,
@@ -155,7 +155,9 @@ class Classification:
 
 def interim_partition(ratios: Sequence[Fraction], q: int) -> tuple[Fraction, tuple[str, ...]]:
     """The threshold (q-th smallest ratio, with multiplicity) and each
-    district's BELOW, TIED or ABOVE status against it."""
+    district's BELOW, TIED or ABOVE status against it; q must be in 1..k."""
+    if not 1 <= q <= len(ratios):
+        raise ValueError(f"target q = {q} is outside 1..{len(ratios)}")
     threshold = sorted(ratios)[q - 1]
     return threshold, tuple(
         BELOW if r < threshold else (TIED if r == threshold else ABOVE) for r in ratios
@@ -259,10 +261,11 @@ def price_for(
 
 
 @lru_cache(maxsize=32)
-def price_table(s: Scenario) -> dict[tuple[str, str], Fraction]:
-    """The scenario's menu: the price offered per (slot, final status). Read only."""
+def price_table(menu: MenuVariant, v: Fraction, epsilon: Fraction,
+                delta: Fraction) -> dict[tuple[str, str], Fraction]:
+    """The menu at these prices: the price offered per (slot, final status). Read only."""
     return {
-        (slot, status): price_for(s.menu, slot, status, s.real_value, s.epsilon, s.delta)
+        (slot, status): price_for(menu, slot, status, v, epsilon, delta)
         for slot in SLOTS
         for status in STATUSES
     }
@@ -324,39 +327,31 @@ class Outcome:
         return sum(self.acquired_real_ballots)
 
 
-def district_payments(
-    prices: Mapping[tuple[str, str], Fraction], v: Fraction, ac: ActionCount, status: str
-) -> Iterator[tuple[str, str, ClassPayment]]:
-    """Settle one district's applicant classes at its final status's prices.
-
-    Abstainers and empty classes receive no offer.
-    """
-    for voter_type in (REAL, DECOY):
-        for slot in SLOTS:
-            count = ac.count(voter_type, slot)
-            if count:
-                yield voter_type, slot, settle(voter_type, prices[(slot, status)], count, v)
-
-
 def payments_for_selection(
     s: Scenario, p: CountProfile, cl: Classification, selected: frozenset[int]
 ) -> tuple[dict[tuple[int, str, str], ClassPayment], Fraction, tuple[int, ...]]:
     """Price every applicant class under a fixed final selection.
 
-    Expenditure sums accepted sales only.
+    Abstainers and empty classes receive no offer. Expenditure sums accepted
+    sales only.
     """
-    prices = price_table(s)
+    prices = price_table(s.menu, s.real_value, s.epsilon, s.delta)
     prices_paid: dict[tuple[int, str, str], ClassPayment] = {}
     expenditure = Fraction(0)
     acquired = []
     for k, ac in enumerate(p.per_district):
         got_real = 0
         status = district_status(k, cl, selected, s.target_count)
-        for voter_type, slot, pay in district_payments(prices, s.real_value, ac, status):
-            prices_paid[(k, voter_type, slot)] = pay
-            expenditure += pay.paid
-            if voter_type == REAL and pay.sells:
-                got_real += pay.count
+        for voter_type in (REAL, DECOY):
+            for slot in SLOTS:
+                count = ac.count(voter_type, slot)
+                if not count:
+                    continue
+                pay = settle(voter_type, prices[(slot, status)], count, s.real_value)
+                prices_paid[(k, voter_type, slot)] = pay
+                expenditure += pay.paid
+                if voter_type == REAL and pay.sells:
+                    got_real += pay.count
         acquired.append(got_real)
     return prices_paid, expenditure, tuple(acquired)
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -14,6 +14,7 @@ from devilsmenu import (
     expected_expenditure,
     expected_payoff,
     is_nash,
+    make_scenario,
     tie_payoff_gap_holds,
     verify_sabotage_bound,
 )
@@ -25,7 +26,9 @@ from devilsmenu.equilibrium import (
     real_deviation_expenditures,
     single_deviation_profile,
 )
-from devilsmenu.mechanism import DECOY, REAL, S1, S2, TIED, ABSTAIN, CountProfile
+from devilsmenu.mechanism import (
+    DECOY, REAL, S1, S2, TIED, ABSTAIN, CountProfile, interim_partition,
+)
 from oracles import oracle_expected_expenditure, oracle_expected_payoff, per_citizen_equilibria
 
 V = Fraction(100)
@@ -306,6 +309,49 @@ def test_interim_rank_lookup_rejects_unreachable_counts():
     for m in ((-1, 2, 2), (2, 5, 2), (2, 2), (2, 2, 2, 2)):
         with pytest.raises(ProfileError):
             ctx.interim(m)
+
+
+def test_interim_partition_rejects_q_outside_one_to_k():
+    # Unchecked, q = 0 reads the largest ratio as the threshold (sigma-star
+    # "unique", expected spend 14) and q = k + 1 indexes past the ratios.
+    for q in (0, 4):
+        s = make_scenario([(2, 2), (2, 2), (1, 3)], 100, 1, 50, q)
+        with pytest.raises(ValueError, match="outside 1..3"):
+            enumerate_equilibria(s)
+        with pytest.raises(ValueError, match="outside 1..3"):
+            expected_expenditure(s, CountProfile.sigma_star(s))
+        with pytest.raises(ValueError, match="outside 1..3"):
+            interim_partition([Fraction(1, 2)] * 3, q)
+
+
+def test_pricing_tables_are_keyed_by_every_pricing_field():
+    # One district set under a base pricing and five pricings that each change
+    # one field of the shared tables' key: menu, q, V, eps or delta. The checks
+    # interleave the pricings, so tables shared across a changed field would
+    # hand one pricing another's verdicts, payoffs or spends. The oracles
+    # share nothing between scenarios.
+    districts = [(1, 1), (1, 1), (1, 2)]
+    base = dict(menu=MenuVariant.WEAK4, q=1, v=100, eps=1, delta=36)
+    changed = dict(menu=MenuVariant.STRONG6, q=2, v=60, eps=2, delta=5)
+    pricings = [base] + [dict(base, **{field: value}) for field, value in changed.items()]
+    scenarios = [make_scenario(districts, x["v"], x["eps"], x["delta"], x["q"], menu=x["menu"])
+                 for x in pricings]
+    for filtered in (True, False):
+        for s in scenarios:
+            got = {e.as_counts() for e in enumerate_equilibria(s, filter_dominated=filtered).equilibria}
+            assert got == per_citizen_equilibria(s, filtered), (s, filtered)
+    splits = [[(a, n - a, 0) for a in range(n + 1)] for n in (1, 2)]  # both slots, no abstention
+    options = [[rc + dc for rc in splits[0] for dc in splits[d - 1]] for _, d in districts]
+    for counts in product(*options):
+        p = CountProfile.from_counts(counts)
+        for s in scenarios:
+            assert expected_expenditure(s, p) == oracle_expected_expenditure(s, counts), (s, counts)
+            for k in range(len(districts)):
+                for vtype in (REAL, DECOY):
+                    for action in (S1, S2, ABSTAIN):
+                        got = expected_payoff(s, p, VoterClass(k, vtype, action))
+                        assert got == oracle_expected_payoff(s, counts, k, vtype, action), \
+                            (s, counts, k, vtype, action)
 
 
 # ----------------------------------------------------------------- sabotage
