@@ -13,12 +13,14 @@ import math
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import claims as claims_mod
 from .equilibrium import (
+    DEFAULT_SCAN_CAP,
     enumerate_equilibria,
     expected_expenditure,
     real_deviation_expenditures,
@@ -454,12 +456,11 @@ def _cmd_sweep(args) -> int:
     rows = []
     for value in _sweep_values(args):
         if args.param == "delta":
-            inst = Scenario(s.districts, s.real_value, s.epsilon, value,
-                            s.target_count, s.budget, s.menu, s.seed)
+            inst = replace(s, delta=value)
         else:
             if value.denominator != 1:
                 raise ScenarioFormatError(f"q must be an integer, got {value}")
-            inst = s.with_districts(s.districts, int(value))
+            inst = replace(s, target_count=int(value))
         violations = validate_scenario(inst)
         if violations:
             rows.append((format_rational(value), approx(value), "no", "", "", "", ""))
@@ -491,17 +492,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
+    def common(p, scenario=True, out=True, workers=False):
+        """The shared options a subcommand's handler reads."""
         if scenario:
             p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
-        p.add_argument("--out", default=None, help="write a CSV report here")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for parallelizable loads")
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the scenario seed")
+        if out:
+            p.add_argument("--out", default=None, help="write a CSV report here")
+        if workers:
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker processes for parallelizable loads")
 
     p = sub.add_parser("run", help="execute one mechanism run")
-    common(p)
+    common(p, workers=True)
     p.add_argument("--profile", default="sigma-star",
                    help="'sigma-star' or a profile JSON file")
     p.add_argument("--mc", type=int, default=0,
@@ -511,11 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="exhaustively enumerate pure equilibria")
     common(p)
     p.add_argument("--filter-dominated", choices=("on", "off"), default="on")
-    p.add_argument("--scan-cap", type=int, default=5_000_000)
+    p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a claim suite; exit 1 if it fails")
-    common(p, scenario=False)
+    common(p, scenario=False, workers=True)
     p.add_argument("--scenario", default=None,
                    help="check a single scenario instead of a family")
     p.add_argument("--claim", required=True,
@@ -530,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sequential)
 
     p = sub.add_parser("commitment", help="run the all-or-nothing districtless variant")
-    common(p)
+    common(p, out=False)
     p.add_argument("--decoys-to-slot1", type=int, default=0,
                    help="move this many decoys into slot one (sabotage probe)")
     p.add_argument("--verify", action="store_true",
@@ -554,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", required=True, help="grid end (rational)")
     p.add_argument("--steps", type=int, required=True, help="number of grid points")
     p.add_argument("--filter-dominated", choices=("on", "off"), default="on")
-    p.add_argument("--scan-cap", type=int, default=5_000_000)
+    p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

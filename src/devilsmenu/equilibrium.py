@@ -31,6 +31,7 @@ from .mechanism import (
     price_table,
     settle,
     status_odds,
+    tie_price_floor,
     valuation,
     voter_payoff,
 )
@@ -55,7 +56,6 @@ class EquilibriumReport:
     equilibria: tuple
     sigma_star_present: bool
     sigma_star_unique: bool
-    dominance_filtered: bool
     profiles_scanned: int
     candidates_checked: int
 
@@ -66,68 +66,17 @@ class _PricingTables:
     type, action), deviation verdicts by (interim key before, interim key
     after, type, action, alternative), and per-voter expected spends by
     (status, c, t), where an interim key is (status, c, t). None of them
-    depends on the districts. _Ctx fills and reads them.
+    depends on the districts. Every verdict comes from an exact Fraction
+    comparison; the tables only remember results.
     """
 
     def __init__(self, menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
                  delta: Fraction):
         self.q, self.v = q, v
         self.prices = price_table(menu, v, epsilon, delta)
-        self.payoffs: dict[tuple, Fraction] = {}
-        self.verdicts: dict[tuple, bool] = {}
-        self.spends: dict[tuple, tuple[Fraction, ...]] = {}
-
-
-@lru_cache(maxsize=32)
-def _pricing_tables(menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
-                    delta: Fraction) -> _PricingTables:
-    return _PricingTables(menu, q, v, epsilon, delta)
-
-
-class _Ctx:
-    """Caches for the enumeration hot path.
-
-    Per scenario: the interim dict, keyed by the slot-one applicant vector m
-    and holding (status per district, c, t). Per pricing: the payoff,
-    verdict and spend dicts of the scenario's _PricingTables, keyed by
-    interim keys (status, c, t), so every scenario with the same menu, q,
-    V, eps and delta reuses them. Every verdict comes from an exact
-    Fraction comparison; the tables only remember results.
-
-    The interim partition compares exact integer slot-one keys instead of
-    ratios: with L the lcm of the real counts, district k's ratio m / real_k
-    is keyed m * (L / real_k), which orders and equates like the ratio.
-    """
-
-    def __init__(self, s: Scenario):
-        self.n_real = tuple(d.real_count for d in s.districts)
-        self.n_decoy = tuple(d.decoy_count for d in s.districts)
-        tables = _pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
-        self.q, self.v, self.prices = tables.q, tables.v, tables.prices
-        self._payoff, self._verdict, self._spend = tables.payoffs, tables.verdicts, tables.spends
-        scale = lcm(*self.n_real)
-        self._slot1_keys = tuple(range(0, (n + d) * (scale // n) + 1, scale // n)
-                                 for n, d in zip(self.n_real, self.n_decoy))
-        self._interim: dict[tuple[int, ...], tuple[tuple[str, ...], int, int]] = {}
-
-    def interim(self, m: tuple[int, ...]) -> tuple[tuple[str, ...], int, int]:
-        """(status per district, c, t) for slot-one applicant counts m."""
-        got = self._interim.get(m)
-        if got is None:
-            _, statuses = interim_partition(self._slot1_keys_of(m), self.q)
-            got = (statuses, statuses.count(BELOW), statuses.count(TIED))
-            self._interim[m] = got
-        return got
-
-    def _slot1_keys_of(self, m: tuple[int, ...]) -> list[int]:
-        """The integer key of each district's slot-one ratio m_k / real_k."""
-        if len(m) == len(self._slot1_keys) and min(m, default=0) >= 0:
-            try:
-                return [keys[mk] for mk, keys in zip(m, self._slot1_keys)]
-            except IndexError:
-                pass
-        raise ProfileError(f"slot-one counts {m} are outside 0..real+decoy "
-                           f"for districts {tuple(zip(self.n_real, self.n_decoy))}")
+        self._payoff: dict[tuple, Fraction] = {}
+        self._verdict: dict[tuple, bool] = {}
+        self._spend: dict[tuple, tuple[Fraction, ...]] = {}
 
     def payoff(self, status: str, c: int, t: int, voter_type: str, action: str) -> Fraction:
         """Expected payoff of one voter given his district's interim status."""
@@ -170,8 +119,51 @@ class _Ctx:
 
 
 @lru_cache(maxsize=32)
-def _ctx_for(s: Scenario) -> _Ctx:
-    return _Ctx(s)
+def _pricing_tables(menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
+                    delta: Fraction) -> _PricingTables:
+    return _PricingTables(menu, q, v, epsilon, delta)
+
+
+class _Ctx:
+    """One scenario's districts and interim dict, built once per call.
+
+    The interim dict is keyed by the slot-one applicant vector m and holds
+    (status per district, c, t). Payoffs, verdicts and spends live in the
+    scenario's _PricingTables, which outlive the call and are shared by
+    every scenario with the same menu, q, V, eps and delta.
+
+    The interim partition compares exact integer slot-one keys instead of
+    ratios: with L the lcm of the real counts, district k's ratio m / real_k
+    is keyed m * (L / real_k), which orders and equates like the ratio.
+    """
+
+    def __init__(self, s: Scenario):
+        self.n_real = tuple(d.real_count for d in s.districts)
+        self.n_decoy = tuple(d.decoy_count for d in s.districts)
+        self.tables = _pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
+        scale = lcm(*self.n_real)
+        self._slot1_keys = tuple(range(0, (n + d) * (scale // n) + 1, scale // n)
+                                 for n, d in zip(self.n_real, self.n_decoy))
+        self._interim: dict[tuple[int, ...], tuple[tuple[str, ...], int, int]] = {}
+
+    def interim(self, m: tuple[int, ...]) -> tuple[tuple[str, ...], int, int]:
+        """(status per district, c, t) for slot-one applicant counts m."""
+        got = self._interim.get(m)
+        if got is None:
+            _, statuses = interim_partition(self._slot1_keys_of(m), self.tables.q)
+            got = (statuses, statuses.count(BELOW), statuses.count(TIED))
+            self._interim[m] = got
+        return got
+
+    def _slot1_keys_of(self, m: tuple[int, ...]) -> list[int]:
+        """The integer key of each district's slot-one ratio m_k / real_k."""
+        if len(m) == len(self._slot1_keys) and min(m, default=0) >= 0:
+            try:
+                return [keys[mk] for mk, keys in zip(m, self._slot1_keys)]
+            except IndexError:
+                pass
+        raise ProfileError(f"slot-one counts {m} are outside 0..real+decoy "
+                           f"for districts {tuple(zip(self.n_real, self.n_decoy))}")
 
 
 def _slot1_vector(counts) -> tuple[int, ...]:
@@ -186,7 +178,7 @@ _CLASS_SLOTS = {  # index of each (type, action) inside a counts tuple, in that 
 
 def _payoff_in(ctx: _Ctx, m: tuple[int, ...], k: int, voter_type: str, action: str) -> Fraction:
     statuses, c, t = ctx.interim(m)
-    return ctx.payoff(statuses[k], c, t, voter_type, action)
+    return ctx.tables.payoff(statuses[k], c, t, voter_type, action)
 
 
 def expected_payoff(s: Scenario, p: CountProfile, who: VoterClass) -> Fraction:
@@ -196,9 +188,8 @@ def expected_payoff(s: Scenario, p: CountProfile, who: VoterClass) -> Fraction:
     is what deviation checks evaluate after moving a voter in.
     """
     p.check_against(s)
-    ctx = _ctx_for(s)
     m = _slot1_vector(p.as_counts())
-    return _payoff_in(ctx, m, who.district, who.voter_type, who.action)
+    return _payoff_in(_Ctx(s), m, who.district, who.voter_type, who.action)
 
 
 def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: str) -> Fraction:
@@ -214,10 +205,9 @@ def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: 
         raise ProfileError(
             f"district {who.district} has no {who.voter_type} voter playing {who.action}"
         )
-    ctx = _ctx_for(s)
     m = list(_slot1_vector(counts))
     m[who.district] += (new_action == S1) - (who.action == S1)
-    return _payoff_in(ctx, tuple(m), who.district, who.voter_type, new_action)
+    return _payoff_in(_Ctx(s), tuple(m), who.district, who.voter_type, new_action)
 
 
 # Every unilateral move of an occupied class: (index in a counts tuple,
@@ -239,6 +229,7 @@ def _is_nash_counts(ctx: _Ctx, counts, filtered: bool) -> bool:
             if cnt[1] or cnt[2] or cnt[5]:
                 return False
     moves = _FILTERED_MOVES if filtered else _MOVES
+    gains = ctx.tables.gains
     m = _slot1_vector(counts)
     statuses, c, t = ctx.interim(m)
     for k, cnt in enumerate(counts):
@@ -251,7 +242,7 @@ def _is_nash_counts(ctx: _Ctx, counts, filtered: bool) -> bool:
                 there = (st2[k], c2, t2)
             else:
                 there = here
-            if ctx.gains(here, there, voter_type, action, alt):
+            if gains(here, there, voter_type, action, alt):
                 return False
     return True
 
@@ -265,7 +256,7 @@ def is_nash(s: Scenario, p: CountProfile, filter_dominated: bool = True) -> bool
     move across both slots and abstention.
     """
     p.check_against(s)
-    return _is_nash_counts(_ctx_for(s), p.as_counts(), filter_dominated)
+    return _is_nash_counts(_Ctx(s), p.as_counts(), filter_dominated)
 
 
 def _compositions3(n: int) -> list[tuple[int, int, int]]:
@@ -336,7 +327,7 @@ def enumerate_equilibria(
     orbit of identical districts runs the deviation checks, and
     candidates_checked counts those.
     """
-    ctx = _ctx_for(s)
+    ctx = _Ctx(s)
     if filter_dominated:
         space = candidates = 1
         for r, d in zip(ctx.n_real, ctx.n_decoy):
@@ -361,7 +352,6 @@ def enumerate_equilibria(
         equilibria=tuple(CountProfile.from_counts(counts) for counts in found),
         sigma_star_present=present,
         sigma_star_unique=present and len(found) == 1,
-        dominance_filtered=filter_dominated,
         profiles_scanned=space,
         candidates_checked=checked,
     )
@@ -375,14 +365,14 @@ def expected_expenditure(s: Scenario, p: CountProfile) -> Fraction:
     spend over the status odds; no draw is enumerated.
     """
     p.check_against(s)
-    return _expected_spend(_ctx_for(s), p.as_counts())
+    return _expected_spend(_Ctx(s), p.as_counts())
 
 
 def _expected_spend(ctx: _Ctx, counts) -> Fraction:
     statuses, c, t = ctx.interim(_slot1_vector(counts))
     total = Fraction(0)
     for cnt, status in zip(counts, statuses):
-        for n, per_voter in zip(cnt, ctx.spend(status, c, t)):
+        for n, per_voter in zip(cnt, ctx.tables.spend(status, c, t)):
             if n:
                 total += n * per_voter
     return total
@@ -436,7 +426,7 @@ def real_deviation_expenditures(s: Scenario) -> dict[int, Fraction]:
 def _lone_deviation_spends(s: Scenario, voter_type: str, new_action: str) -> dict[int, Fraction]:
     """Expected spend, per district k with a voter_type voter, after one of them
     leaves sigma-star for new_action."""
-    ctx = _ctx_for(s)
+    ctx = _Ctx(s)
     sizes = ctx.n_real if voter_type == REAL else ctx.n_decoy
     spends = {}
     for k, n in enumerate(sizes):
@@ -449,16 +439,18 @@ def _lone_deviation_spends(s: Scenario, voter_type: str, new_action: str) -> dic
 def tie_payoff_gap_holds(s: Scenario) -> bool:
     """Per-instance check of the uniqueness margin for the four-price menu.
 
-    For every count c of outright-selected districts up to q - 1, the best
-    tie-set gamble (q-c)/(k-c) * V + eps must fall strictly below delta
-    whenever delta is at least (q/k) * V + 2*eps. Exact arithmetic.
+    delta must reach the weak four-price tie_price_floor, (q/k) * V + 2*eps,
+    and for every count c of outright-selected districts up to q - 1 the best
+    tie-set gamble (q-c)/(k-c) * V + eps must stay at or below that floor
+    less eps, which must be strictly below delta. Exact arithmetic.
     """
     k, q = s.num_districts, s.target_count
     v, eps, delta = s.real_value, s.epsilon, s.delta
-    if delta < Fraction(q, k) * v + 2 * eps:
+    floor = tie_price_floor(MenuVariant.WEAK4, k, q, v, eps)
+    if delta < floor:
         return False
     for c in range(q):
         gamble = Fraction(q - c, k - c) * v + eps
-        if not (gamble <= Fraction(q, k) * v + eps < delta):
+        if not (gamble <= floor - eps < delta):
             return False
     return True

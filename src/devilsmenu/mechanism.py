@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -182,19 +181,24 @@ def select_districts(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Final selection: all below-threshold districts plus a uniform draw from the tie set.
 
-    The draw is a Fisher-Yates prefix of length q - c over the tie set in
-    ascending index order, so results are reproducible from the generator
-    state alone regardless of platform.
+    The draw is fair_draw of q - c districts from the tie set in ascending
+    index order, so results are reproducible from the generator state alone
+    regardless of platform.
     """
     need = q - cl.c
     if not 0 <= need <= cl.t:
         raise ValueError(f"inconsistent classification: c = {cl.c}, t = {cl.t}, q = {q}")
-    pool = sorted(cl.tied)
+    drawn = frozenset(fair_draw(sorted(cl.tied), need, rng))
+    return frozenset(cl.below) | drawn, drawn
+
+
+def fair_draw(pool: list, need: int, rng: random.Random) -> list:
+    """A uniform draw of need items from pool: the first need entries of a
+    Fisher-Yates shuffle of pool, made in place, one rng.randrange per entry."""
     for i in range(need):
         j = i + rng.randrange(len(pool) - i)
         pool[i], pool[j] = pool[j], pool[i]
-    drawn = frozenset(pool[:need])
-    return frozenset(cl.below) | drawn, drawn
+    return pool[:need]
 
 
 def status_odds(interim: str, c: int, t: int, q: int) -> tuple[tuple[str, Fraction], ...]:
@@ -260,10 +264,9 @@ def price_for(
     return 2 * epsilon
 
 
-@lru_cache(maxsize=32)
 def price_table(menu: MenuVariant, v: Fraction, epsilon: Fraction,
                 delta: Fraction) -> dict[tuple[str, str], Fraction]:
-    """The menu at these prices: the price offered per (slot, final status). Read only."""
+    """The menu at these prices: the price offered per (slot, final status)."""
     return {
         (slot, status): price_for(menu, slot, status, v, epsilon, delta)
         for slot in SLOTS

@@ -7,7 +7,7 @@ Floats appear only in report formatting and statistical test bands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -172,16 +172,7 @@ class Scenario:
 
     def with_districts(self, districts: Sequence[DistrictSpec], target_count: int) -> "Scenario":
         """Same prices and menu on a different district set (used by rounds)."""
-        return Scenario(
-            districts=tuple(districts),
-            real_value=self.real_value,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            target_count=target_count,
-            budget=self.budget,
-            menu=self.menu,
-            seed=self.seed,
-        )
+        return replace(self, districts=tuple(districts), target_count=target_count)
 
 
 def make_scenario(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .equilibrium import EquilibriumReport, enumerate_equilibria
+from .equilibrium import DEFAULT_SCAN_CAP, EquilibriumReport, enumerate_equilibria
 from .mechanism import (
     DECOY,
     REAL,
@@ -24,6 +24,7 @@ from .mechanism import (
     Outcome,
     commitment_price,
     execute,
+    fair_draw,
     minimal_delta,
     require_delta_at_least,
     settle,
@@ -88,7 +89,7 @@ def run_sequential(s: Scenario, rng: random.Random) -> list[Outcome]:
     return [outcome for _, outcome in sequential_rounds(s, rng)]
 
 
-def verify_subgame_perfect(s: Scenario, scan_cap: int | None = None) -> bool:
+def verify_subgame_perfect(s: Scenario, scan_cap: int = DEFAULT_SCAN_CAP) -> bool:
     """Backward-induction check that every reachable round has a unique equilibrium.
 
     At round r any r-1 districts may already have been bought, so every
@@ -99,13 +100,12 @@ def verify_subgame_perfect(s: Scenario, scan_cap: int | None = None) -> bool:
     if s.menu.tag != "weak4":
         raise ValueError("sequential buying runs the weak four-price menu")
     require_delta_at_least(s, minimal_delta(s, sequential=True))
-    kwargs = {} if scan_cap is None else {"scan_cap": scan_cap}
     indices = range(s.num_districts)
     for round_no in range(1, s.target_count + 1):
         for gone in itertools.combinations(indices, round_no - 1):
             remaining = [i for i in indices if i not in gone]
             residual = s.with_districts([s.districts[i] for i in remaining], target_count=1)
-            report = enumerate_equilibria(residual, filter_dominated=True, **kwargs)
+            report = enumerate_equilibria(residual, filter_dominated=True, scan_cap=scan_cap)
             if not report.sigma_star_unique:
                 return False
     return True
@@ -150,10 +150,6 @@ class CommitmentProfile:
     def slot1_total(self) -> int:
         return self.real_s1 + self.decoy_s1
 
-    @property
-    def decoy_total(self) -> int:
-        return self.decoy_s1 + self.decoy_s2
-
     @classmethod
     def sigma_star(cls, game: CommitmentGame, n_decoy: int) -> "CommitmentProfile":
         return cls(game.total_real, 0, 0, n_decoy)
@@ -178,10 +174,11 @@ def run_commitment(
 
     With overflow every slot-one applicant is offered zero (nobody sells at
     zero: a decoy is indifferent and keeps his ballot). Otherwise the target
-    number of slot-one applicants, drawn uniformly, are offered V + eps and
-    all sell; applicants not drawn receive no offer. Slot-two applicants are
-    always offered eps. Prices are mechanism.commitment_price's, and every
-    class settles by mechanism.settle.
+    number of slot-one applicants, drawn by mechanism.fair_draw over the
+    real applicants then the decoys, are offered V + eps and all sell;
+    applicants not drawn receive no offer. Slot-two applicants are always
+    offered eps. Prices are mechanism.commitment_price's, and every class
+    settles by mechanism.settle.
     """
     if min(profile.real_s1, profile.real_s2, profile.decoy_s1, profile.decoy_s2) < 0:
         raise ProfileError("negative applicant count")
@@ -196,12 +193,9 @@ def run_commitment(
         offered[(REAL, S1)], offered[(DECOY, S1)] = profile.real_s1, profile.decoy_s1
         winners_real = winners_decoy = 0
     else:
-        pool = [REAL] * profile.real_s1 + [DECOY] * profile.decoy_s1
-        need = min(game.purchase_target, len(pool))
-        for i in range(need):
-            j = i + rng.randrange(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        winners_real = pool[:need].count(REAL)
+        need = min(game.purchase_target, profile.slot1_total)
+        winners_real = fair_draw([REAL] * profile.real_s1 + [DECOY] * profile.decoy_s1,
+                                 need, rng).count(REAL)
         winners_decoy = need - winners_real
         offered[(REAL, S1)], offered[(DECOY, S1)] = winners_real, winners_decoy
     v, eps = game.real_value, game.epsilon
@@ -287,7 +281,6 @@ def verify_commitment_equilibrium(
         equilibria=tuple(equilibria),
         sigma_star_present=present,
         sigma_star_unique=present and len(equilibria) == 1,
-        dominance_filtered=filter_dominated,
         profiles_scanned=space,
         candidates_checked=space,
     )

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 from devilsmenu import MenuVariant, is_nash, make_scenario
@@ -29,3 +30,14 @@ def full_scan(s, filtered):
                for d in s.districts]
     return tuple(counts for counts in product(*options)
                  if is_nash(s, CountProfile.from_counts(counts), filter_dominated=filtered))
+
+
+def replay_fair_draw(rng_seed, pool, need):
+    """The documented fair draw, replayed apart from the program: the first
+    need entries of a Fisher-Yates shuffle of pool from random.Random(rng_seed)."""
+    rng = random.Random(rng_seed)
+    items = list(pool)
+    for i in range(need):
+        j = i + rng.randrange(len(items) - i)
+        items[i], items[j] = items[j], items[i]
+    return items[:need]

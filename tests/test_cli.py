@@ -296,6 +296,23 @@ def test_cli_rejects_negative_mc_and_workers_below_one(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["enumerate", "--workers", "2"],
+    ["sequential", "--workers", "2"],
+    ["sweep", "--param", "q", "--from", "1", "--to", "2", "--steps", "2", "--workers", "2"],
+    ["commitment", "--workers", "2"],
+    ["commitment", "--out", "x.csv"],
+    ["verify", "--claim", "weak4-unique", "--seed", "3"],
+])
+def test_cli_refuses_options_its_handler_does_not_read(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv[:1] + ["--scenario", write(tmp_path, GOOD)] + argv[1:])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-2] in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "--claim", "weak4-unique", "--family", "small"],
     ["run", "--scenario", str(SHIPPED), "--mc", "500"],
 ])

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import scenario_for, sym
+from conftest import replay_fair_draw, scenario_for, sym
 from devilsmenu import (
     MenuVariant,
     ProfileError,
@@ -154,6 +154,24 @@ def test_select_districts_whole_tie_set():
     selected, drawn = select_districts(cl, 3, random.Random(0))
     assert selected == frozenset({0, 1, 2})
     assert drawn == selected
+
+
+def test_select_districts_replays_the_fair_draw():
+    # Below and tie sets of every shape up to seven districts; the districts
+    # drawn must be the replayed draw's, over the tie set in ascending order.
+    for seed in range(200):
+        layout = random.Random(10_000 + seed)
+        k = layout.randint(2, 7)
+        tied = sorted(layout.sample(range(k), layout.randint(1, k)))
+        below = frozenset(layout.sample([i for i in range(k) if i not in tied],
+                                        layout.randint(0, k - len(tied))))
+        q = len(below) + layout.randint(0, len(tied))
+        cl = Classification(ratios=(Fraction(1),) * k, threshold=Fraction(1), below=below,
+                            tied=frozenset(tied),
+                            above=frozenset(range(k)) - below - frozenset(tied))
+        selected, drawn = select_districts(cl, q, random.Random(seed))
+        assert drawn == frozenset(replay_fair_draw(seed, tied, q - len(below))), seed
+        assert selected == below | drawn
 
 
 # ------------------------------------------------------------------- prices

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sym
+from conftest import replay_fair_draw, sym
 from devilsmenu import (
     CommitmentGame,
     CommitmentProfile,
@@ -166,6 +166,23 @@ def test_commitment_mixed_slot_one_pool_draws_by_type():
         assert out.acquired_real_ballots == out.winners_real
         seen.add((out.winners_real, out.winners_decoy))
     assert seen == {(2, 0), (1, 1)}
+
+
+def test_commitment_winners_replay_the_fair_draw():
+    # The winners are the replayed draw over the slot-one pool, real
+    # applicants first, then decoys; no run overflows here.
+    for seed in range(200):
+        layout = random.Random(10_000 + seed)
+        total_real = layout.randint(1, 6)
+        real_s1 = layout.randint(0, total_real)
+        decoy_s1 = layout.randint(0, total_real - real_s1)
+        game = CommitmentGame(total_real, layout.randint(1, total_real), V, EPS)
+        profile = CommitmentProfile(real_s1, total_real - real_s1, decoy_s1, 2)
+        out = run_commitment(game, profile, random.Random(seed))
+        need = min(game.purchase_target, real_s1 + decoy_s1)
+        drawn = replay_fair_draw(seed, [REAL] * real_s1 + [DECOY] * decoy_s1, need)
+        assert not out.overflow
+        assert (out.winners_real, out.winners_decoy) == (drawn.count(REAL), drawn.count(DECOY))
 
 
 def test_commitment_run_settles_like_the_expected_payoff():
