@@ -9,14 +9,17 @@ ties.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
-from math import lcm, prod
+from math import inf, lcm, prod
+from operator import mul
 from typing import Iterator, Optional
 
 from .mechanism import (
+    ABOVE,
     ABSTAIN,
     ACTIONS,
     BELOW,
@@ -29,6 +32,7 @@ from .mechanism import (
     budget_bound,
     interim_partition,
     price_table,
+    require_target_in_range,
     settle,
     status_odds,
     tie_price_floor,
@@ -60,61 +64,81 @@ class EquilibriumReport:
     candidates_checked: int
 
 
+# Interim statuses by code: a district's code is 0, 1 or 2 as its slot-one
+# key is below, at or above the threshold.
+_STATUSES = (BELOW, TIED, ABOVE)
+
+_CLASS_SLOTS = {  # index of each (type, action) inside a counts tuple, in that order
+    (REAL, S1): 0, (REAL, S2): 1, (REAL, ABSTAIN): 2,
+    (DECOY, S1): 3, (DECOY, S2): 4, (DECOY, ABSTAIN): 5,
+}
+
+# Every unilateral move of an occupied class, its move id being its position:
+# (index in a counts tuple, type, action, alternative, change in the
+# district's slot-one count).
+_MOVES = tuple((idx, voter_type, action, alt, (alt == S1) - (action == S1))
+               for (voter_type, action), idx in _CLASS_SLOTS.items()
+               for alt in ACTIONS if alt != action)
+# What the deviation loop reads of a move: (move id, index, slot-one change).
+# The filtered game keeps only undominated actions: nobody abstains and real
+# voters sit on slot one, so only decoys move, between the two slots.
+_ALL_MOVES = tuple((mv, idx, dm) for mv, (idx, _, _, _, dm) in enumerate(_MOVES))
+_FILTERED_MOVES = tuple((mv, idx, dm) for mv, (idx, voter_type, action, alt, dm) in enumerate(_MOVES)
+                        if voter_type == DECOY and ABSTAIN not in (action, alt))
+
+
 class _PricingTables:
     """The exact tables of one pricing (menu, q, V, eps, delta), which every
-    scenario with that pricing shares: expected payoffs by (status, c, t,
-    type, action), deviation verdicts by (interim key before, interim key
-    after, type, action, alternative), and per-voter expected spends by
-    (status, c, t), where an interim key is (status, c, t). None of them
-    depends on the districts. Every verdict comes from an exact Fraction
-    comparison; the tables only remember results.
+    scenario with that pricing shares: deviation verdicts by (status code,
+    c, t, status code after, c after, t after, move id), and expected
+    per-voter spends by (c, t). None of them depends on the districts.
+    Every verdict comes from an exact Fraction comparison; the tables only
+    remember results.
     """
 
     def __init__(self, menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
                  delta: Fraction):
         self.q, self.v = q, v
         self.prices = price_table(menu, v, epsilon, delta)
-        self._payoff: dict[tuple, Fraction] = {}
-        self._verdict: dict[tuple, bool] = {}
-        self._spend: dict[tuple, tuple[Fraction, ...]] = {}
+        self._verdicts: dict[tuple[int, ...], bool] = {}
+        self._spend: dict[tuple[int, int], tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
     def payoff(self, status: str, c: int, t: int, voter_type: str, action: str) -> Fraction:
         """Expected payoff of one voter given his district's interim status."""
-        key = (status, c, t, voter_type, action)
-        got = self._payoff.get(key)
+        if action == ABSTAIN:
+            return valuation(voter_type, self.v)
+        return sum(prob * voter_payoff(voter_type, self.prices[(action, final)], self.v)
+                   for final, prob in status_odds(status, c, t, self.q))
+
+    def gains(self, key: tuple[int, ...]) -> bool:
+        """Whether move key[6] strictly pays when it takes the mover's
+        district from (status code, c, t) key[:3] to key[3:6]."""
+        got = self._verdicts.get(key)
         if got is None:
-            if action == ABSTAIN:
-                got = valuation(voter_type, self.v)
-            else:
-                got = sum(prob * voter_payoff(voter_type, self.prices[(action, final)], self.v)
-                          for final, prob in status_odds(status, c, t, self.q))
-            self._payoff[key] = got
+            st, c, t, st2, c2, t2, mv = key
+            _, voter_type, action, alt, _ = _MOVES[mv]
+            got = (self.payoff(_STATUSES[st2], c2, t2, voter_type, alt)
+                   > self.payoff(_STATUSES[st], c, t, voter_type, action))
+            self._verdicts[key] = got
         return got
 
-    def gains(self, here: tuple[str, int, int], there: tuple[str, int, int],
-              voter_type: str, action: str, alt: str) -> bool:
-        """Whether a voter playing action at interim key here strictly gains by
-        playing alt, which leaves his district at interim key there."""
-        key = (here, there, voter_type, action, alt)
-        got = self._verdict.get(key)
+    def spend(self, c: int, t: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, rows): rows[code] holds, for a district of that status code,
+        the expected payment to one voter of each (type, action) class, in
+        the order of a counts tuple, as an integer numerator over the one
+        denominator D. Abstainers receive no offer."""
+        got = self._spend.get((c, t))
         if got is None:
-            got = self.payoff(*there, voter_type, alt) > self.payoff(*here, voter_type, action)
-            self._verdict[key] = got
-        return got
-
-    def spend(self, status: str, c: int, t: int) -> tuple[Fraction, ...]:
-        """Expected payment to one voter of each (type, action) class, in the
-        order of a counts tuple; abstainers receive no offer."""
-        key = (status, c, t)
-        got = self._spend.get(key)
-        if got is None:
-            odds = status_odds(status, c, t, self.q)
-            got = tuple(
-                Fraction(0) if action == ABSTAIN else
-                sum(prob * settle(voter_type, self.prices[(action, final)], 1, self.v).paid
-                    for final, prob in odds)
-                for voter_type, action in _CLASS_SLOTS)
-            self._spend[key] = got
+            per_voter = [
+                [Fraction(0) if action == ABSTAIN else
+                 sum(prob * settle(voter_type, self.prices[(action, final)], 1, self.v).paid
+                     for final, prob in status_odds(status, c, t, self.q))
+                 for voter_type, action in _CLASS_SLOTS]
+                for status in _STATUSES]
+            d = lcm(*(f.denominator for row in per_voter for f in row))
+            got = d, tuple(tuple(f.numerator * (d // f.denominator) for f in row)
+                           for row in per_voter)
+            self._spend[(c, t)] = got
         return got
 
 
@@ -124,56 +148,83 @@ def _pricing_tables(menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
     return _PricingTables(menu, q, v, epsilon, delta)
 
 
+class _Threshold:
+    """The threshold summary of one slot-one key vector: the keys sorted,
+    the threshold tau (the q-th smallest key), the counts c below it and t
+    at it, and, per status code of a moving key x, the (q-1)-th and q-th
+    smallest of the other keys (lo, hi), with -inf and +inf where there is
+    none.
+
+    When x moves to y, the new threshold is clamp(y, lo, hi), and the new
+    c and t are read off the sorted keys, corrected for x and y. So the
+    moved vector is never partitioned.
+    """
+
+    __slots__ = ("ranked", "tau", "c", "t", "bounds")
+
+    def __init__(self, keys: list[int], q: int):
+        self.ranked = ranked = sorted(keys)
+        self.tau = tau = ranked[q - 1]
+        self.c = c = bisect_left(ranked, tau)
+        self.t = bisect_right(ranked, tau, c) - c
+        below = ranked[q - 2] if q > 1 else -inf
+        above = ranked[q] if q < len(ranked) else inf
+        # Taking out a key below tau moves tau down to rank q - 1 of the
+        # rest and the key above it to rank q. So does taking out a tied
+        # key, unless no other tied key sat below rank q (c = q - 1).
+        self.bounds = ((tau, above), (below if c == q - 1 else tau, above), (below, tau))
+
+    def status(self, x: int) -> int:
+        tau = self.tau
+        return 0 if x < tau else (1 if x == tau else 2)
+
+    def after(self, x: int, y: int) -> tuple[int, int, int]:
+        """(status code of the mover, c, t) once one key x moves to y."""
+        lo, hi = self.bounds[self.status(x)]
+        tau = lo if y < lo else (hi if y > hi else y)
+        ranked = self.ranked
+        lt = bisect_left(ranked, tau)
+        return ((0 if y < tau else (1 if y == tau else 2)),
+                lt - (x < tau) + (y < tau),
+                bisect_right(ranked, tau, lt) - lt - (x == tau) + (y == tau))
+
+
 class _Ctx:
-    """One scenario's districts and interim dict, built once per call.
+    """One scenario's districts, built once per call; nothing in it outlives
+    the call. Verdicts and spends live in the scenario's _PricingTables,
+    which are shared by every scenario with the same menu, q, V, eps and
+    delta.
 
-    The interim dict is keyed by the slot-one applicant vector m and holds
-    (status per district, c, t). Payoffs, verdicts and spends live in the
-    scenario's _PricingTables, which outlive the call and are shared by
-    every scenario with the same menu, q, V, eps and delta.
-
-    The interim partition compares exact integer slot-one keys instead of
-    ratios: with L the lcm of the real counts, district k's ratio m / real_k
-    is keyed m * (L / real_k), which orders and equates like the ratio.
+    Partitions compare exact integer slot-one keys instead of ratios: with L
+    the lcm of the real counts, district k's ratio m / real_k is keyed
+    m * (L / real_k), which orders and equates like the ratio.
     """
 
     def __init__(self, s: Scenario):
+        require_target_in_range(s.target_count, s.num_districts)
         self.n_real = tuple(d.real_count for d in s.districts)
         self.n_decoy = tuple(d.decoy_count for d in s.districts)
         self.tables = _pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
         scale = lcm(*self.n_real)
-        self._slot1_keys = tuple(range(0, (n + d) * (scale // n) + 1, scale // n)
-                                 for n, d in zip(self.n_real, self.n_decoy))
-        self._interim: dict[tuple[int, ...], tuple[tuple[str, ...], int, int]] = {}
+        self.steps = tuple(scale // n for n in self.n_real)
+
+    def keys(self, counts) -> list[int]:
+        """The slot-one key of each district of counts, which must fit."""
+        return [(cnt[0] + cnt[3]) * step for cnt, step in zip(counts, self.steps)]
 
     def interim(self, m: tuple[int, ...]) -> tuple[tuple[str, ...], int, int]:
         """(status per district, c, t) for slot-one applicant counts m."""
-        got = self._interim.get(m)
-        if got is None:
-            _, statuses = interim_partition(self._slot1_keys_of(m), self.tables.q)
-            got = (statuses, statuses.count(BELOW), statuses.count(TIED))
-            self._interim[m] = got
-        return got
-
-    def _slot1_keys_of(self, m: tuple[int, ...]) -> list[int]:
-        """The integer key of each district's slot-one ratio m_k / real_k."""
-        if len(m) == len(self._slot1_keys) and min(m, default=0) >= 0:
-            try:
-                return [keys[mk] for mk, keys in zip(m, self._slot1_keys)]
-            except IndexError:
-                pass
-        raise ProfileError(f"slot-one counts {m} are outside 0..real+decoy "
-                           f"for districts {tuple(zip(self.n_real, self.n_decoy))}")
+        if len(m) != len(self.steps) or not all(
+                0 <= mk <= n + d for mk, n, d in zip(m, self.n_real, self.n_decoy)):
+            raise ProfileError(f"slot-one counts {m} are outside 0..real+decoy "
+                               f"for districts {tuple(zip(self.n_real, self.n_decoy))}")
+        _, statuses = interim_partition([mk * step for mk, step in zip(m, self.steps)],
+                                        self.tables.q)
+        return statuses, statuses.count(BELOW), statuses.count(TIED)
 
 
 def _slot1_vector(counts) -> tuple[int, ...]:
     return tuple(c[0] + c[3] for c in counts)
-
-
-_CLASS_SLOTS = {  # index of each (type, action) inside a counts tuple, in that order
-    (REAL, S1): 0, (REAL, S2): 1, (REAL, ABSTAIN): 2,
-    (DECOY, S1): 3, (DECOY, S2): 4, (DECOY, ABSTAIN): 5,
-}
 
 
 def _payoff_in(ctx: _Ctx, m: tuple[int, ...], k: int, voter_type: str, action: str) -> Fraction:
@@ -210,17 +261,6 @@ def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: 
     return _payoff_in(_Ctx(s), tuple(m), who.district, who.voter_type, new_action)
 
 
-# Every unilateral move of an occupied class: (index in a counts tuple,
-# type, action, alternative, change in the district's slot-one count).
-_MOVES = tuple((idx, voter_type, action, alt, (alt == S1) - (action == S1))
-               for (voter_type, action), idx in _CLASS_SLOTS.items()
-               for alt in ACTIONS if alt != action)
-# The filtered game keeps only undominated actions: nobody abstains and real
-# voters sit on slot one, so only decoys move, between the two slots.
-_FILTERED_MOVES = tuple(mv for mv in _MOVES
-                        if mv[1] == DECOY and ABSTAIN not in (mv[2], mv[3]))
-
-
 def _is_nash_counts(ctx: _Ctx, counts, filtered: bool) -> bool:
     if filtered:
         # Profiles off the dominance screen are not part of the filtered
@@ -228,21 +268,21 @@ def _is_nash_counts(ctx: _Ctx, counts, filtered: bool) -> bool:
         for cnt in counts:
             if cnt[1] or cnt[2] or cnt[5]:
                 return False
-    moves = _FILTERED_MOVES if filtered else _MOVES
+    moves = _FILTERED_MOVES if filtered else _ALL_MOVES
     gains = ctx.tables.gains
-    m = _slot1_vector(counts)
-    statuses, c, t = ctx.interim(m)
-    for k, cnt in enumerate(counts):
-        here = (statuses[k], c, t)
-        for idx, voter_type, action, alt, dm in moves:
+    keys = ctx.keys(counts)
+    summary = _Threshold(keys, ctx.tables.q)
+    c, t, after = summary.c, summary.t, summary.after
+    for cnt, x, step in zip(counts, keys, ctx.steps):
+        st = summary.status(x)
+        for mv, idx, dm in moves:
             if not cnt[idx]:
                 continue
             if dm:
-                st2, c2, t2 = ctx.interim(m[:k] + (m[k] + dm,) + m[k + 1:])
-                there = (st2[k], c2, t2)
+                key = (st, c, t, *after(x, x + dm * step), mv)
             else:
-                there = here
-            if gains(here, there, voter_type, action, alt):
+                key = (st, c, t, st, c, t, mv)
+            if gains(key):
                 return False
     return True
 
@@ -369,28 +409,31 @@ def expected_expenditure(s: Scenario, p: CountProfile) -> Fraction:
 
 
 def _expected_spend(ctx: _Ctx, counts) -> Fraction:
-    statuses, c, t = ctx.interim(_slot1_vector(counts))
-    total = Fraction(0)
-    for cnt, status in zip(counts, statuses):
-        for n, per_voter in zip(cnt, ctx.tables.spend(status, c, t)):
-            if n:
-                total += n * per_voter
-    return total
+    keys = ctx.keys(counts)
+    summary = _Threshold(keys, ctx.tables.q)
+    d, rows = ctx.tables.spend(summary.c, summary.t)
+    total = sum(sum(map(mul, cnt, rows[summary.status(x)])) for cnt, x in zip(counts, keys))
+    return Fraction(total, d)
+
+
+def _moved_row(row: tuple, district: int, voter_type: str, new_action: str) -> tuple:
+    """A sigma-star counts row with one voter_type voter moved to new_action."""
+    src = _CLASS_SLOTS[(voter_type, S1 if voter_type == REAL else S2)]
+    if not row[src]:
+        raise ProfileError(f"district {district} has no {voter_type} voter to move")
+    moved = list(row)
+    moved[src] -= 1
+    moved[_CLASS_SLOTS[(voter_type, new_action)]] += 1
+    return tuple(moved)
 
 
 def single_deviation_profile(
     s: Scenario, district: int, voter_type: str, new_action: str
 ) -> CountProfile:
     """Sigma-star with one voter of (district, voter_type) moved to new_action."""
-    base = [list(ac.as_tuple()) for ac in CountProfile.sigma_star(s).per_district]
-    from_action = S1 if voter_type == REAL else S2
-    src = _CLASS_SLOTS[(voter_type, from_action)]
-    dst = _CLASS_SLOTS[(voter_type, new_action)]
-    if base[district][src] == 0:
-        raise ProfileError(f"district {district} has no {voter_type} voter to move")
-    base[district][src] -= 1
-    base[district][dst] += 1
-    return CountProfile.from_counts(tuple(tuple(row) for row in base))
+    rows = list(CountProfile.sigma_star(s).as_counts())
+    rows[district] = _moved_row(rows[district], district, voter_type, new_action)
+    return CountProfile.from_counts(rows)
 
 
 @dataclass(frozen=True)
@@ -428,11 +471,12 @@ def _lone_deviation_spends(s: Scenario, voter_type: str, new_action: str) -> dic
     leaves sigma-star for new_action."""
     ctx = _Ctx(s)
     sizes = ctx.n_real if voter_type == REAL else ctx.n_decoy
+    rows = [(r, 0, 0, 0, d, 0) for r, d in zip(ctx.n_real, ctx.n_decoy)]
     spends = {}
     for k, n in enumerate(sizes):
         if n:
-            moved = single_deviation_profile(s, k, voter_type, new_action)
-            spends[k] = _expected_spend(ctx, moved.as_counts())
+            moved = rows[:k] + [_moved_row(rows[k], k, voter_type, new_action)] + rows[k + 1:]
+            spends[k] = _expected_spend(ctx, moved)
     return spends
 
 

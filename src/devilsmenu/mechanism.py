@@ -155,12 +155,16 @@ class Classification:
 def interim_partition(ratios: Sequence[Fraction], q: int) -> tuple[Fraction, tuple[str, ...]]:
     """The threshold (q-th smallest ratio, with multiplicity) and each
     district's BELOW, TIED or ABOVE status against it; q must be in 1..k."""
-    if not 1 <= q <= len(ratios):
-        raise ValueError(f"target q = {q} is outside 1..{len(ratios)}")
+    require_target_in_range(q, len(ratios))
     threshold = sorted(ratios)[q - 1]
     return threshold, tuple(
         BELOW if r < threshold else (TIED if r == threshold else ABOVE) for r in ratios
     )
+
+
+def require_target_in_range(q: int, k: int) -> None:
+    if not 1 <= q <= k:
+        raise ValueError(f"target q = {q} is outside 1..{k}")
 
 
 def classify(s: Scenario, p: CountProfile) -> Classification:

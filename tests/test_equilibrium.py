@@ -1,3 +1,5 @@
+import gc
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -19,10 +21,12 @@ from devilsmenu import (
     verify_sabotage_bound,
 )
 from devilsmenu.claims import family_for
+from devilsmenu.claims import run_claim
 from devilsmenu.equilibrium import (
     VoterClass,
     _Ctx,
     _distinct_permutations,
+    _pricing_tables,
     real_deviation_expenditures,
     single_deviation_profile,
 )
@@ -354,6 +358,20 @@ def test_pricing_tables_are_keyed_by_every_pricing_field():
                             (s, counts, k, vtype, action)
 
 
+def test_no_scenario_state_outlives_the_families():
+    # Only the per-pricing tables may outlive a call, and they grow with the
+    # pricings (six here), not with the 3720 scenarios checked.
+    _pricing_tables.cache_clear()
+    run_claim("weak4-unique", "small")
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for claim in ("weak4-unique", "sabotage-bound"):
+        assert run_claim(claim, "full").all_passed
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 5_000
+    assert _pricing_tables.cache_info().currsize == 6
+
+
 # ----------------------------------------------------------------- sabotage
 
 
@@ -379,6 +397,19 @@ def test_sabotage_expected_expenditure_matches_oracle():
         counts = single_deviation_profile(s, k, DECOY, S1).as_counts()
         assert report.per_district[k] == oracle_expected_expenditure(s, counts)
     assert report.holds
+
+
+def test_lone_deviation_spends_match_oracle_on_small_family():
+    # The spends are integer numerators over one denominator per (c, t);
+    # the oracle enumerates every draw in Fractions.
+    for s in family_for("sabotage-bound", "small"):
+        for voter_type, new_action, got in (
+                (DECOY, S1, verify_sabotage_bound(s).per_district),
+                (REAL, S2, real_deviation_expenditures(s))):
+            assert set(got) == set(range(s.num_districts))
+            for k, spend in got.items():
+                counts = single_deviation_profile(s, k, voter_type, new_action).as_counts()
+                assert spend == oracle_expected_expenditure(s, counts), (s, k, voter_type)
 
 
 def test_sabotage_bound_near_full_target():

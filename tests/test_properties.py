@@ -22,9 +22,9 @@ from devilsmenu import (
     validate_budget,
     validate_scenario,
 )
-from devilsmenu.equilibrium import VoterClass, _Ctx, enumerate_equilibria
+from devilsmenu.equilibrium import VoterClass, _Ctx, _Threshold, enumerate_equilibria
 from devilsmenu.mechanism import (
-    ABSTAIN, BELOW, DECOY, REAL, S1, S2, TIED, CountProfile, interim_partition,
+    ABOVE, ABSTAIN, BELOW, DECOY, REAL, S1, S2, TIED, CountProfile, interim_partition,
     payments_for_selection,
 )
 from conftest import full_scan
@@ -253,3 +253,92 @@ def test_rank_keyed_interim_equals_ratio_partition(districts, data):
     for m in product(*(range(r + d + 1) for r, d in districts)):
         _, statuses = interim_partition([Fraction(mk, r) for mk, (r, _) in zip(m, districts)], q)
         assert ctx.interim(m) == (statuses, statuses.count(BELOW), statuses.count(TIED))
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 2), st.integers(0, 2)), min_size=2, max_size=3),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_strong6_tied_expected_spend_matches_oracle(districts, data):
+    # Under the six-price menu a tied district's slot-two price is delta when
+    # drawn and an outright one's is V - eps, so a spend's one denominator
+    # must cover both. Every filtered profile with a real draw (q - c < t)
+    # is checked against the draw-enumerating oracle.
+    q = data.draw(st.integers(1, len(districts) - 1))
+    delta = data.draw(st.fractions(min_value=3, max_value=10, max_denominator=7))
+    s = make_scenario(districts, 100, 1, delta, q, menu=MenuVariant.STRONG6)
+    options = [[(a, r - a, 0, b, d - b, 0) for a in range(r + 1) for b in range(d + 1)]
+               for r, d in districts]
+    drawn = 0
+    for counts in product(*options):
+        _, statuses = interim_partition(
+            [Fraction(c[0] + c[3], r) for c, (r, _) in zip(counts, districts)], q)
+        if q - statuses.count(BELOW) < statuses.count(TIED):
+            drawn += 1
+            p = CountProfile.from_counts(counts)
+            assert expected_expenditure(s, p) == oracle_expected_expenditure(s, counts), counts
+    assert drawn
+
+
+STATUS_CODE = {BELOW: 0, TIED: 1, ABOVE: 2}
+
+
+def check_summary_moves(districts, q) -> set:
+    """Check the threshold summary of every reachable slot-one vector, and
+    the status, c and t it gives each +-1 move, against interim_partition of
+    the vector and of the moved vector. Return the edge cases met."""
+    k = len(districts)
+    steps = _Ctx(make_scenario(districts, 100, 1, 36, q)).steps
+    seen = set()
+    for m in product(*(range(r + d + 1) for r, d in districts)):
+        keys = [mk * step for mk, step in zip(m, steps)]
+        summary = _Threshold(keys, q)
+        tau, statuses = interim_partition(keys, q)
+        assert (summary.tau, summary.c, summary.t) == \
+            (tau, statuses.count(BELOW), statuses.count(TIED))
+        assert [summary.status(x) for x in keys] == [STATUS_CODE[st] for st in statuses]
+        for j, (r, d) in enumerate(districts):
+            for dm in (-1, 1):
+                if not 0 <= m[j] + dm <= r + d:
+                    continue
+                x, y = keys[j], keys[j] + dm * steps[j]
+                tau2, moved = interim_partition(keys[:j] + [y] + keys[j + 1:], q)
+                want = (STATUS_CODE[moved[j]], moved.count(BELOW), moved.count(TIED))
+                assert summary.after(x, y) == want, (districts, q, m, j, dm)
+                seen |= {name for name, hit in (
+                    ("q = k", q == k),
+                    ("t = 1", summary.t == 1),
+                    ("no key above tau", summary.c + summary.t == k),
+                    ("no key below tau", summary.c == 0),
+                    ("tau' = y", tau2 == y != tau),
+                ) if hit}
+    return seen
+
+
+@st.composite
+def small_district_sets(draw):
+    # Every reachable slot-one vector is checked, so the vectors are kept
+    # to a few hundred: r + d shrinks as k grows.
+    k = draw(st.integers(1, 6))
+    top = {1: 7, 2: 7, 3: 5, 4: 3, 5: 2, 6: 2}[k]
+    districts = []
+    for _ in range(k):
+        r = draw(st.integers(1, min(3, top)))
+        districts.append((r, draw(st.integers(0, top - r))))
+    return districts
+
+
+@given(small_district_sets())
+@settings(max_examples=30, deadline=None)
+def test_threshold_summary_moves_equal_partition_of_moved_vector(districts):
+    for q in range(1, len(districts) + 1):
+        check_summary_moves(districts, q)
+
+
+def test_threshold_summary_meets_its_edge_cases():
+    seen = set()
+    for districts in ([(1, 2), (2, 1), (2, 2)], [(1, 1)] * 3, [(3, 1), (1, 2)]):
+        for q in range(1, len(districts) + 1):
+            seen |= check_summary_moves(districts, q)
+    assert seen == {"q = k", "t = 1", "no key above tau", "no key below tau", "tau' = y"}
