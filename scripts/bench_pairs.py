@@ -6,9 +6,11 @@
 For seeds 1..pairs it runs `python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0` in each checkout, one run at a time, alternating which
 side goes first (parent first on odd seeds), as perfbench/README.md
-describes. It keeps each run's command and its result line (the last line of
-stdout) and, per end-to-end metric of BENCHMARK.json, each side's median and
-quartile spread and the verdicts of the README's paired rule:
+describes. It keeps each run's command, its result line (the last line of
+stdout) and its number of timed passes from the `detail:` line, lists
+each side's pass counts per workload, and, per end-to-end metric of
+BENCHMARK.json, gives each side's median and quartile spread and the verdicts
+of the README's paired rule:
 
 - gain: the change wins at least 9 in 10 pairs (ties count for neither) and
   the medians differ by more than the parent's quartile distance;
@@ -40,13 +42,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
+    details = [line for line in lines if line.startswith("detail: ")]
+    if done.returncode != 0 or not details:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} failed:\n{done.stderr}")
-    return {"cmd": " ".join(["python3", *cmd[1:]]), "result": json.loads(lines[-1])}
+    detail = json.loads(details[-1][len("detail: "):])
+    return {"cmd": " ".join(["python3", *cmd[1:]]), "passes": detail["passes"]["pass"],
+            "result": json.loads(lines[-1])}
 
 
 def spread(values: list[float]) -> tuple[float, float]:
-    """(median, Q3 - Q1) with statistics.quantiles(values, n=4)."""
+    """(median, Q3 - Q1) with statistics.quantiles(values, n=4); one run
+    has no spread."""
+    if len(values) < 2:
+        return values[0], 0.0
     q1, _, q3 = statistics.quantiles(values, n=4)
     return statistics.median(values), q3 - q1
 
@@ -97,13 +105,15 @@ def main() -> None:
                 got = run_once(getattr(args, side), workload, seed, args.seconds)
                 runs[side].append(got)
                 print(f"{workload} seed {seed} {side}: "
-                      f"pass_s {got['result']['metrics']['pass_s']['value']}", flush=True)
+                      f"pass_s {got['result']['metrics']['pass_s']['value']} "
+                      f"passes {got['passes']}", flush=True)
         results = [r["result"] for side in runs.values() for r in side]
         report["workloads"][workload] = {
             "command": (f"python3 scripts/bench_pairs.py --parent PARENT --change CHANGE "
                         f"--workload {workload} --pairs {args.pairs} "
                         f"--seconds {args.seconds} --out {args.out.name}"),
             "all_correct": all(r["correct"] and r["failed"] == 0 for r in results),
+            "passes": {side: [r["passes"] for r in side_runs] for side, side_runs in runs.items()},
             "runs": runs,
             "metrics": verdicts(runs["parent"], runs["change"], metrics)}
         args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -438,28 +438,31 @@ def _cmd_lemons(args) -> int:
 
 
 def _sweep_values(args) -> list[Fraction]:
+    """The grid, checked whole: a q grid must hold integers only."""
     start = parse_rational(args.start)
     stop = parse_rational(args.stop)
     if args.steps < 1:
         raise ScenarioFormatError("--steps must be at least 1")
-    if args.steps == 1:
-        return [start]
-    step = (stop - start) / (args.steps - 1)
-    return [start + i * step for i in range(args.steps)]
+    step = (stop - start) / (args.steps - 1) if args.steps > 1 else 0
+    values = [start + i * step for i in range(args.steps)]
+    if args.param == "q":
+        for value in values:
+            if value.denominator != 1:
+                raise ScenarioFormatError(f"q must be an integer, got {value}")
+    return values
 
 
 def _cmd_sweep(args) -> int:
     s = parse_scenario_file(args.scenario)
     filtered = args.filter_dominated == "on"
+    values = _sweep_values(args)
     _print_scenario_header(s, "sweep", _resolve_seed(args, s))
     print(f"parameter: {args.param}")
     rows = []
-    for value in _sweep_values(args):
+    for value in values:
         if args.param == "delta":
             inst = replace(s, delta=value)
         else:
-            if value.denominator != 1:
-                raise ScenarioFormatError(f"q must be an integer, got {value}")
             inst = replace(s, target_count=int(value))
         violations = validate_scenario(inst)
         if violations:

@@ -261,28 +261,24 @@ def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: 
     return _payoff_in(_Ctx(s), tuple(m), who.district, who.voter_type, new_action)
 
 
-def _is_nash_counts(ctx: _Ctx, counts, filtered: bool) -> bool:
-    if filtered:
-        # Profiles off the dominance screen are not part of the filtered
-        # game and cannot be equilibria of it.
-        for cnt in counts:
-            if cnt[1] or cnt[2] or cnt[5]:
-                return False
-    moves = _FILTERED_MOVES if filtered else _ALL_MOVES
-    gains = ctx.tables.gains
-    keys = ctx.keys(counts)
-    summary = _Threshold(keys, ctx.tables.q)
-    c, t, after = summary.c, summary.t, summary.after
-    for cnt, x, step in zip(counts, keys, ctx.steps):
+def _compiled(ctx: _Ctx, k: int, row: tuple, moves: tuple) -> tuple:
+    """A counts row of district k as the Nash check reads it: (its slot-one
+    key x, (move id, key y after the move) per move of an occupied class,
+    the row)."""
+    step = ctx.steps[k]
+    x = (row[0] + row[3]) * step
+    return x, tuple((mv, x + dm * step) for mv, idx, dm in moves if row[idx]), row
+
+
+def _is_nash_counts(tables: _PricingTables, compiled: tuple) -> bool:
+    """The Nash check of one profile, given as a compiled option per
+    district. The verdict does not depend on the order of the districts."""
+    summary = _Threshold([x for x, _, _ in compiled], tables.q)
+    c, t, after, gains = summary.c, summary.t, summary.after, tables.gains
+    for x, moves, _ in compiled:
         st = summary.status(x)
-        for mv, idx, dm in moves:
-            if not cnt[idx]:
-                continue
-            if dm:
-                key = (st, c, t, *after(x, x + dm * step), mv)
-            else:
-                key = (st, c, t, st, c, t, mv)
-            if gains(key):
+        for mv, y in moves:
+            if gains((st, c, t, *after(x, y), mv) if y != x else (st, c, t, st, c, t, mv)):
                 return False
     return True
 
@@ -296,7 +292,13 @@ def is_nash(s: Scenario, p: CountProfile, filter_dominated: bool = True) -> bool
     move across both slots and abstention.
     """
     p.check_against(s)
-    return _is_nash_counts(_Ctx(s), p.as_counts(), filter_dominated)
+    ctx = _Ctx(s)
+    counts = p.as_counts()
+    if filter_dominated and any(cnt[1] or cnt[2] or cnt[5] for cnt in counts):
+        return False  # off the dominance screen, so not a profile of the filtered game
+    moves = _FILTERED_MOVES if filter_dominated else _ALL_MOVES
+    return _is_nash_counts(ctx.tables, tuple(_compiled(ctx, k, row, moves)
+                                             for k, row in enumerate(counts)))
 
 
 def _compositions3(n: int) -> list[tuple[int, int, int]]:
@@ -321,29 +323,47 @@ def _distinct_permutations(items: tuple) -> Iterator[tuple]:
         a[i + 1:] = reversed(a[i + 1:])
 
 
-def _orbit_scan(ctx: _Ctx, options: list[list[tuple]], filtered: bool) -> tuple[list, int]:
-    """The equilibria among product(*options), in product order, and the
-    number of Nash checks run.
+def _splits(r: int, d: int, filtered: bool) -> list[tuple]:
+    """The ascending counts rows a district of r real and d decoy ballots is
+    scanned over: the decoy splits over both slots with every real voter on
+    slot one, or, unfiltered, every three-action split of each type."""
+    if filtered:
+        return [(r, 0, 0, d1, d - d1, 0) for d1 in range(d + 1)]
+    return [rc + dc for rc in _compositions3(r) for dc in _compositions3(d)]
+
+
+def _orbit_scan(ctx: _Ctx, filtered: bool) -> tuple[list, int]:
+    """The equilibria among the product of every district's splits, sorted,
+    and the number of Nash checks run.
 
     Districts with the same (real, decoy) counts have the same options and
     commute: permuting their choices permutes the statuses and keeps the
-    verdict. So one representative per multiset of their choices is
-    checked, and only equilibria are expanded to every distinct arrangement.
-    Each options list is ascending, so product order is the sorted order of
-    the count tuples.
+    verdict. So each group's options are compiled once, one representative
+    per multiset of its choices is checked in group order, and only
+    equilibria are expanded to every distinct arrangement and put back in
+    district order.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for k, key in enumerate(zip(ctx.n_real, ctx.n_decoy)):
         groups.setdefault(key, []).append(k)
     order = [k for ks in groups.values() for k in ks]
-    place = sorted(range(len(order)), key=order.__getitem__)  # district -> flat position
-    orbits = [list(combinations_with_replacement(options[ks[0]], len(ks)))
-              for ks in groups.values()]
+    place = sorted(range(len(order)), key=order.__getitem__)  # district -> group-order position
+    moves = _FILTERED_MOVES if filtered else _ALL_MOVES
+    # Each group's options go in descending row order, so its part of a
+    # representative starts with the split with the most voters on slot
+    # one, whose moves reject the most candidates of the filtered game.
+    # The verdict does not depend on the order.
+    orbits = [list(combinations_with_replacement(
+                  [_compiled(ctx, ks[0], row, moves) for row in reversed(_splits(r, d, filtered))],
+                  len(ks)))
+              for (r, d), ks in groups.items()]
+    tables = ctx.tables
     found = []
     for rep in product(*orbits):
-        flat = tuple(chain.from_iterable(rep))
-        if _is_nash_counts(ctx, tuple(flat[i] for i in place), filtered):
-            for arrangement in product(*map(_distinct_permutations, rep)):
+        if _is_nash_counts(tables, tuple(chain.from_iterable(rep))):
+            # The arrangements need each orbit's rows in ascending order.
+            rows = [tuple(option[2] for option in reversed(orbit)) for orbit in rep]
+            for arrangement in product(*map(_distinct_permutations, rows)):
                 flat = tuple(chain.from_iterable(arrangement))
                 found.append(tuple(flat[i] for i in place))
     found.sort()
@@ -373,20 +393,12 @@ def enumerate_equilibria(
         for r, d in zip(ctx.n_real, ctx.n_decoy):
             space *= (r + 1) * (d + 1)
             candidates *= d + 1
-        options = [
-            [(r, 0, 0, d1, d - d1, 0) for d1 in range(d + 1)]
-            for r, d in zip(ctx.n_real, ctx.n_decoy)
-        ]
     else:
         space = candidates = prod(len(_compositions3(r)) * len(_compositions3(d))
                                   for r, d in zip(ctx.n_real, ctx.n_decoy))
-        options = [
-            [rc + dc for rc in _compositions3(r) for dc in _compositions3(d)]
-            for r, d in zip(ctx.n_real, ctx.n_decoy)
-        ]
     if candidates > scan_cap:
         raise ScanCapExceeded(candidates, scan_cap)
-    found, checked = _orbit_scan(ctx, options, filter_dominated)
+    found, checked = _orbit_scan(ctx, filter_dominated)
     present = CountProfile.sigma_star(s).as_counts() in found
     return EquilibriumReport(
         equilibria=tuple(CountProfile.from_counts(counts) for counts in found),

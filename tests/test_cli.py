@@ -351,3 +351,14 @@ def test_cli_monte_carlo_replays_execute(tmp_path, capsys, rows):
         for k in execute(s, p, random.Random(s.seed ^ i)).selected:
             expected[k] += 1
     assert got == expected
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["--param", "q", "--from", "1", "--to", "2", "--steps", "3"], "q must be an integer, got 3/2"),
+    (["--param", "delta", "--from", "3", "--to", "40", "--steps", "0"], "--steps must be at least 1"),
+])
+def test_cli_sweep_refuses_a_bad_grid_before_printing(tmp_path, capsys, grid, message):
+    assert main(["sweep", "--scenario", write(tmp_path, GOOD)] + grid) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err

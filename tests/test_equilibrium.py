@@ -302,6 +302,22 @@ def test_orbit_scan_expands_every_arrangement_in_order():
         assert report.candidates_checked < report.profiles_scanned
 
 
+@pytest.mark.parametrize("menu, districts, q, delta, filtered", [
+    (MenuVariant.WEAK4, [(1, 1), (1, 0), (1, 1)], 1, Fraction(5, 2), False),
+    (MenuVariant.STRONG4, [(1, 1), (1, 0), (1, 1)], 1, Fraction(5, 2), False),
+    (MenuVariant.STRONG6, [(1, 1), (1, 0), (1, 1)], 1, Fraction(5, 2), False),
+    (MenuVariant.STRONG6, [(2, 1), (1, 1), (2, 1)], 2, Fraction(1, 2), True),
+])
+def test_expanded_equilibria_match_per_citizen_oracle(menu, districts, q, delta, filtered):
+    # Below the tie-price floor the two identical districts, apart in
+    # district order, hold equilibria that differ between them, so the scan
+    # expands orbits and puts them back in district order.
+    s = make_scenario(districts, 100, 1, delta, q, menu=menu)
+    got = [e.as_counts() for e in enumerate_equilibria(s, filter_dominated=filtered).equilibria]
+    assert any(c[0] != c[2] for c in got)
+    assert set(got) == per_citizen_equilibria(s, filtered)
+
+
 @pytest.mark.parametrize("items", [(), (1,), (1, 1, 1), (0, 1, 1, 2), (0, 0, 1, 1, 3)])
 def test_distinct_permutations_lists_each_ordering_once(items):
     assert list(_distinct_permutations(items)) == sorted(set(permutations(items)))

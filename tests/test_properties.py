@@ -25,10 +25,13 @@ from devilsmenu import (
 from devilsmenu.equilibrium import VoterClass, _Ctx, _Threshold, enumerate_equilibria
 from devilsmenu.mechanism import (
     ABOVE, ABSTAIN, BELOW, DECOY, REAL, S1, S2, TIED, CountProfile, interim_partition,
-    payments_for_selection,
+    payments_for_selection, tie_price_floor,
 )
 from conftest import full_scan
-from oracles import oracle_expected_expenditure, oracle_expected_payoff, oracle_expenditure_bound
+from oracles import (
+    oracle_expected_expenditure, oracle_expected_payoff, oracle_expenditure_bound,
+    per_citizen_equilibria,
+)
 
 MENUS = (MenuVariant.WEAK4, MenuVariant.STRONG4, MenuVariant.STRONG6)
 
@@ -342,3 +345,53 @@ def test_threshold_summary_meets_its_edge_cases():
         for q in range(1, len(districts) + 1):
             seen |= check_summary_moves(districts, q)
     assert seen == {"q = k", "t = 1", "no key above tau", "no key below tau", "tau' = y"}
+
+
+@given(repeated_districts(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_shuffling_districts_permutes_the_equilibria(sf, data):
+    # The scan checks each representative in group order whatever the
+    # district order, so shuffling the districts may only permute every
+    # equilibrium's rows and must leave the checks and sigma-star alone.
+    s, filtered = sf
+    perm = data.draw(st.permutations(range(s.num_districts)))
+    shuffled = s.with_districts([s.districts[j] for j in perm], s.target_count)
+    report = enumerate_equilibria(s, filter_dominated=filtered)
+    moved = enumerate_equilibria(shuffled, filter_dominated=filtered)
+    want = sorted(tuple(e.as_counts()[j] for j in perm) for e in report.equilibria)
+    assert [e.as_counts() for e in moved.equilibria] == want
+    assert (moved.candidates_checked, moved.sigma_star_present, moved.sigma_star_unique) == \
+        (report.candidates_checked, report.sigma_star_present, report.sigma_star_unique)
+
+
+@st.composite
+def tiny_repeated_below_floor(draw):
+    """A tiny scenario in one of the three menus, with a repeated district
+    type, its districts shuffled, and delta below the menu's tie-price floor,
+    where several equilibria can appear. A filtered game holds at most 8
+    voters and an unfiltered one at most 5, so the per-citizen oracle can
+    scan it."""
+    filtered = draw(st.booleans())
+    voters = 8 if filtered else 5
+    kinds = st.tuples(st.integers(1, 2), st.integers(0, 2))
+    first = draw(kinds.filter(lambda kind: 2 * sum(kind) <= voters))
+    districts = [first, first]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from([first, draw(kinds)]))
+        if sum(map(sum, districts)) + sum(kind) <= voters:
+            districts.append(kind)
+    districts = draw(st.permutations(districts))
+    q = draw(st.integers(1, len(districts)))
+    menu = draw(st.sampled_from(MENUS))
+    floor = tie_price_floor(menu, len(districts), q, 100, 1)
+    delta = draw(st.fractions(min_value=Fraction(1, 2), max_value=floor, max_denominator=8)
+                 .filter(lambda x: x < floor))
+    return make_scenario(districts, 100, 1, delta, q, menu=menu), filtered
+
+
+@given(tiny_repeated_below_floor())
+@settings(max_examples=60, deadline=None)
+def test_orbit_scan_matches_per_citizen_oracle(sf):
+    s, filtered = sf
+    got = {e.as_counts() for e in enumerate_equilibria(s, filter_dominated=filtered).equilibria}
+    assert got == per_citizen_equilibria(s, filtered)
