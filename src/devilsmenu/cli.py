@@ -26,6 +26,7 @@ from .equilibrium import (
     real_deviation_expenditures,
 )
 from .mechanism import (
+    NOT_SELECTED,
     ActionCount,
     Classification,
     CountProfile,
@@ -33,9 +34,10 @@ from .mechanism import (
     classify,
     execute,
     minimal_delta,
-    select_districts,
+    status_odds,
 )
 from .model import (
+    MAX_SEED,
     DeltaBelowThreshold,
     DistrictSpec,
     MenuVariant,
@@ -258,18 +260,17 @@ def _cmd_run(args) -> int:
 
     if args.mc:
         counts = _mc_counts(cl, s.target_count, seed, args.mc, args.workers)
-        rows = _mc_rows(s, counts, args.mc)
+        rows = _mc_rows(cl, s.target_count, counts, args.mc)
         print(f"selection frequencies over {args.mc} runs:")
-        print(_table([tuple(map(str, r)) for r in rows],
+        print(_table([(str(k), str(n), f"{n / args.mc:.6f}", format_rational(p), ok)
+                      for (k, n, p, ok) in rows],
                      ("district", "selections", "frequency", "expected", "within_3sigma")))
         if args.out:
             _write_csv(args.out,
                        ("district", "selections", "runs", "frequency",
                         "expected", "expected_approx", "within_3sigma"),
-                       [(k, n, args.mc, f"{n / args.mc:.6f}",
-                         format_rational(Fraction(s.target_count, s.num_districts)),
-                         approx(Fraction(s.target_count, s.num_districts)), ok)
-                        for (k, n, _freq, _exp, ok) in rows],
+                       [(k, n, args.mc, f"{n / args.mc:.6f}", format_rational(p), approx(p), ok)
+                        for (k, n, p, ok) in rows],
                        scenario=s)
     elif args.out:
         _write_csv(args.out,
@@ -284,13 +285,38 @@ def _cmd_run(args) -> int:
 
 
 def _mc_batch(cl: Classification, q: int, seed: int, lo: int, hi: int) -> list[int]:
-    """Selection counts over runs lo..hi-1. Only the draw differs between runs,
-    so the classification is reused and run i redraws from Random(seed ^ i)."""
+    """Selection counts over runs lo..hi-1, equal to select_districts with
+    Random(seed ^ i) for each run i.
+
+    Only the draw differs between runs, so below districts are counted once
+    and a draw that is no real choice (q - c of 0 or t) is counted in closed
+    form. Otherwise one generator is reseeded per run through the C seed that
+    Random.seed runs for an int (gauss_next is never read here), and the
+    Fisher-Yates prefix of fair_draw runs on a copy of the sorted tie pool,
+    each index taken by getrandbits with rejection as randrange(n) takes it.
+    """
+    runs = hi - lo
     counts = [0] * len(cl.ratios)
+    for k in cl.below:
+        counts[k] = runs
+    pool, need = sorted(cl.tied), cl.draw_size(q)
+    if need in (0, len(pool)):
+        for k in pool[:need]:
+            counts[k] = runs
+        return counts
+    rng = random.Random()
+    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
+    steps = [(j, len(pool) - j, (len(pool) - j).bit_length()) for j in range(need)]
     for i in range(lo, hi):
-        selected, _ = select_districts(cl, q, random.Random(seed ^ i))
-        for k in selected:
-            counts[k] += 1
+        reseed(seed ^ i)
+        items = pool[:]
+        for j, n, bits in steps:
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            r += j
+            items[j], items[r] = items[r], items[j]
+            counts[items[j]] += 1
     return counts
 
 
@@ -300,13 +326,18 @@ def _mc_counts(cl: Classification, q: int, seed: int, runs: int, workers: int) -
     return [sum(col) for col in zip(*claims_mod.ordered_map(_mc_batch, batches, workers))]
 
 
-def _mc_rows(s: Scenario, counts: list[int], runs: int):
-    p = Fraction(s.target_count, s.num_districts)
-    sigma = math.sqrt(runs * float(p) * (1 - float(p)))
+def _mc_rows(cl: Classification, q: int, counts: list[int], runs: int):
+    """Per district: (k, selections, odds of selection, within 3 sigma). The
+    odds are status_odds' chance of a selected status, so a below or
+    degenerately tied district expects every run, an above one none, and a
+    tied one (q - c) / t; sigma is the binomial sigma at those odds."""
     rows = []
     for k, n in enumerate(counts):
+        p = sum((odds for status, odds in status_odds(cl.interim(k), cl.c, cl.t, q)
+                 if status != NOT_SELECTED), Fraction(0))
+        sigma = math.sqrt(runs * float(p) * (1 - float(p)))
         ok = abs(n - runs * float(p)) <= 3 * sigma
-        rows.append((k, n, f"{n / runs:.6f}", format_rational(p), "yes" if ok else "NO"))
+        rows.append((k, n, p, "yes" if ok else "NO"))
     return rows
 
 
@@ -573,6 +604,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for flag, low in (("mc", 0), ("workers", 1)):
         if getattr(args, flag, low) < low:
             parser.error(f"argument --{flag}: must be at least {low}")
+    if getattr(args, "seed", None) is not None and not 0 <= args.seed <= MAX_SEED:
+        parser.error(f"argument --seed: must be in 0..{MAX_SEED}")
     started = time.perf_counter()
     try:
         code = args.func(args)

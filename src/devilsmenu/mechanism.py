@@ -151,6 +151,17 @@ class Classification:
     def o(self) -> int:
         return len(self.above)
 
+    def interim(self, k: int) -> str:
+        """District k's interim status: BELOW, TIED or ABOVE."""
+        return BELOW if k in self.below else (TIED if k in self.tied else ABOVE)
+
+    def draw_size(self, q: int) -> int:
+        """q - c, the tied districts the fair draw picks; it must lie in 0..t."""
+        need = q - self.c
+        if not 0 <= need <= self.t:
+            raise ValueError(f"inconsistent classification: c = {self.c}, t = {self.t}, q = {q}")
+        return need
+
 
 def interim_partition(ratios: Sequence[Fraction], q: int) -> tuple[Fraction, tuple[str, ...]]:
     """The threshold (q-th smallest ratio, with multiplicity) and each
@@ -189,10 +200,7 @@ def select_districts(
     index order, so results are reproducible from the generator state alone
     regardless of platform.
     """
-    need = q - cl.c
-    if not 0 <= need <= cl.t:
-        raise ValueError(f"inconsistent classification: c = {cl.c}, t = {cl.t}, q = {q}")
-    drawn = frozenset(fair_draw(sorted(cl.tied), need, rng))
+    drawn = frozenset(fair_draw(sorted(cl.tied), cl.draw_size(q), rng))
     return frozenset(cl.below) | drawn, drawn
 
 
@@ -226,8 +234,7 @@ def district_status(k: int, cl: Classification, selected: frozenset[int], q: int
     When status_odds leaves a single status (below, above, or a degenerate
     draw) that is the status; otherwise it is whether k was drawn.
     """
-    interim = BELOW if k in cl.below else (TIED if k in cl.tied else ABOVE)
-    odds = status_odds(interim, cl.c, cl.t, q)
+    odds = status_odds(cl.interim(k), cl.c, cl.t, q)
     if len(odds) == 1:
         return odds[0][0]
     return SELECTED_BY_DRAW if k in selected else NOT_SELECTED

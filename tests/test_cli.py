@@ -285,14 +285,22 @@ def test_cli_missing_scenario_file(capsys):
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "three-districts.json"
 
 
-@pytest.mark.parametrize("argv", [["--mc", "-5"], ["--workers", "0"], ["--workers", "-1"]])
+@pytest.mark.parametrize("argv", [
+    ["--mc", "-5"], ["--workers", "0"], ["--workers", "-1"],
+    ["--seed", "-5"], ["--seed", str(10**23)],
+    ["lemons", "--good", "3", "--bad", "5", "--seed", "-5"],
+    ["lemons", "--good", "3", "--bad", "5", "--seed", str(2**64)],
+])
 def test_cli_rejects_negative_mc_and_workers_below_one(tmp_path, capsys, argv):
+    # Also seeds outside 0..MAX_SEED: Random(-5) draws as Random(5) does.
+    if argv[0] != "lemons":
+        argv = ["run", "--scenario", write(tmp_path, GOOD)] + argv
     with pytest.raises(SystemExit) as err:
-        main(["run", "--scenario", write(tmp_path, GOOD)] + argv)
+        main(argv)
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert argv[0] in captured.err
+    assert f"argument {argv[-2]}: must be" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -312,17 +320,50 @@ def test_cli_refuses_options_its_handler_does_not_read(tmp_path, capsys, argv):
     assert argv[-2] in captured.err
 
 
+# Four (2, 2) districts with q = 2 under a profile with ratios 1/2, 1, 1, 2:
+# below {0}, tied {1, 2} with one of them drawn per run, above {3}.
+MIXED = dict(GOOD, districts=[{"real": 2, "decoy": 2}] * 4, q=2)
+MIXED_ROWS = [{"real_s1": 1, "real_s2": 1, "decoy_s2": 2},
+              {"real_s1": 2, "decoy_s2": 2}, {"real_s1": 2, "decoy_s2": 2},
+              {"real_s1": 2, "decoy_s1": 2}]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--claim", "weak4-unique", "--family", "small"],
     ["run", "--scenario", str(SHIPPED), "--mc", "500"],
+    # 7 runs split into chunks of 4 + 3 and 3 + 3 + 1
+    ["run", "--scenario", "mixed.json", "--profile", "mixed-profile.json", "--mc", "7"],
 ])
-def test_cli_two_workers_match_one(tmp_path, capsys, argv):
+def test_cli_two_workers_match_one(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, MIXED, "mixed.json")
+    write(tmp_path, {"districts": MIXED_ROWS}, "mixed-profile.json")
     outputs = []
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3") if "--profile" in argv else ("1", "2"):
         csv = tmp_path / f"workers{workers}.csv"
         assert main(argv + ["--workers", workers, "--out", str(csv)]) == 0
         outputs.append((capsys.readouterr().out, csv.read_bytes()))
-    assert outputs[0] == outputs[1]
+    assert outputs[1:] == outputs[:-1]
+
+
+@pytest.mark.parametrize("doc, rows, expected", [
+    # districts 0 and 1 above, district 2 alone at the threshold: selected always
+    (GOOD, [{"real_s1": 2, "decoy_s1": 2}, {"real_s1": 2, "decoy_s1": 2},
+            {"real_s1": 2, "decoy_s1": 1, "decoy_s2": 1}], ["0", "0", "1"]),
+    # the target profile: every district ties, c = 0, t = 3
+    (GOOD, None, ["1/3", "1/3", "1/3"]),
+    (MIXED, MIXED_ROWS, ["1", "1/2", "1/2", "0"]),
+])
+def test_cli_monte_carlo_expects_each_districts_odds(tmp_path, capsys, doc, rows, expected):
+    profile = write(tmp_path, {"districts": rows}, "profile.json") if rows else "sigma-star"
+    out = tmp_path / "mc.csv"
+    assert main(["run", "--scenario", write(tmp_path, doc), "--profile", profile,
+                 "--mc", "3000", "--out", str(out)]) == 0
+    table = capsys.readouterr().out.split("selection frequencies over 3000 runs:\n")[1]
+    assert [line.split()[3:] for line in table.splitlines()[1:]] == [
+        [p, "yes"] for p in expected]
+    csv_rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [(row[4], row[6]) for row in csv_rows] == [(p, "yes") for p in expected]
 
 
 @pytest.mark.parametrize("rows", [

@@ -21,6 +21,7 @@ from devilsmenu import (
     strong6_expenditure_bound,
 )
 from devilsmenu.claims import CANONICAL, family_for
+from devilsmenu.cli import _mc_batch
 from devilsmenu.mechanism import (
     DECOY,
     NOT_SELECTED,
@@ -172,6 +173,19 @@ def test_select_districts_replays_the_fair_draw():
         selected, drawn = select_districts(cl, q, random.Random(seed))
         assert drawn == frozenset(replay_fair_draw(seed, tied, q - len(below))), seed
         assert selected == below | drawn
+
+
+def test_getrandbits_with_rejection_is_randrange():
+    # The Monte Carlo tally takes each Fisher-Yates index as randrange(n)
+    # does: getrandbits(n.bit_length()), redrawn while it is n or more.
+    for seed in range(300):
+        ref, got = random.Random(seed), random.Random(seed)
+        for n in range(1, 65):
+            r = got.getrandbits(n.bit_length())
+            while r >= n:
+                r = got.getrandbits(n.bit_length())
+            assert r == ref.randrange(n), (seed, n)
+        assert got.getstate() == ref.getstate()
 
 
 # ------------------------------------------------------------------- prices
@@ -352,6 +366,10 @@ def test_select_districts_rejects_inconsistent_classification():
                         frozenset({0, 1}), frozenset({2}), frozenset())
     with pytest.raises(ValueError):
         select_districts(cl, 1, random.Random(0))
+    # The Monte Carlo tally applies the same check: with need > t its
+    # Fisher-Yates prefix would redraw from an empty range forever.
+    with pytest.raises(ValueError):
+        _mc_batch(cl, 4, 0, 0, 1)
 
 
 def test_action_count_accessors():

@@ -22,12 +22,14 @@ from devilsmenu import (
     validate_budget,
     validate_scenario,
 )
+from devilsmenu.cli import _mc_batch
 from devilsmenu.equilibrium import VoterClass, _Ctx, _Threshold, enumerate_equilibria
 from devilsmenu.mechanism import (
-    ABOVE, ABSTAIN, BELOW, DECOY, REAL, S1, S2, TIED, CountProfile, interim_partition,
-    payments_for_selection, tie_price_floor,
+    ABOVE, ABSTAIN, BELOW, DECOY, REAL, S1, S2, TIED, Classification, CountProfile,
+    interim_partition, payments_for_selection, tie_price_floor,
 )
-from conftest import full_scan
+from devilsmenu.model import MAX_SEED
+from conftest import full_scan, replay_fair_draw
 from oracles import (
     oracle_expected_expenditure, oracle_expected_payoff, oracle_expenditure_bound,
     per_citizen_equilibria,
@@ -395,3 +397,48 @@ def test_orbit_scan_matches_per_citizen_oracle(sf):
     s, filtered = sf
     got = {e.as_counts() for e in enumerate_equilibria(s, filter_dominated=filtered).equilibria}
     assert got == per_citizen_equilibria(s, filtered)
+
+
+# Counts rows of (2, 2) districts whose slot-one ratio is 0, 1 or 2.
+MC_ROWS = {BELOW: (0, 2, 0, 0, 2, 0), TIED: (2, 0, 0, 0, 2, 0), ABOVE: (2, 0, 0, 2, 0, 0)}
+
+
+@given(
+    statuses=st.lists(st.sampled_from((BELOW, TIED, ABOVE)), min_size=1, max_size=7)
+    .filter(lambda xs: TIED in xs),
+    edge=st.sampled_from(("zero", "one", "t-1", "t")),
+    seed=st.sampled_from((0, 2**32 - 1, 2**32 + 5, MAX_SEED)) | st.integers(0, MAX_SEED),
+    lo=st.integers(0, 40),
+    runs=st.integers(0, 25),
+)
+@settings(max_examples=60, deadline=None)
+def test_mc_tally_replays_execute_and_the_fair_draw(statuses, edge, seed, lo, runs):
+    # The Monte Carlo tally over runs lo..hi-1 must count what full runs of
+    # the mechanism select with run i seeded by seed XOR i, and what the
+    # randrange-based replay of the fair draw selects.
+    below = [k for k, st_ in enumerate(statuses) if st_ == BELOW]
+    tied = [k for k, st_ in enumerate(statuses) if st_ == TIED]
+    t = len(tied)
+    need = {"zero": 0, "one": 1, "t-1": max(t - 1, 0), "t": t}[edge]
+    q, hi = len(below) + need, lo + runs
+    replayed = [0] * len(statuses)
+    for i in range(lo, hi):
+        for k in below + replay_fair_draw(seed ^ i, tied, need):
+            replayed[k] += 1
+    if need == 0:
+        # classify never leaves q = c; the tally must still draw nothing.
+        cl = Classification(ratios=(Fraction(1),) * len(statuses), threshold=Fraction(1),
+                            below=frozenset(below), tied=frozenset(tied),
+                            above=frozenset(k for k, st_ in enumerate(statuses)
+                                            if st_ == ABOVE))
+        assert _mc_batch(cl, q, seed, lo, hi) == replayed
+        return
+    s = make_scenario([(2, 2)] * len(statuses), 100, 1, 50, q)
+    p = CountProfile.from_counts(MC_ROWS[st_] for st_ in statuses)
+    cl = classify(s, p)
+    assert (sorted(cl.below), sorted(cl.tied)) == (below, tied)
+    executed = [0] * len(statuses)
+    for i in range(lo, hi):
+        for k in execute(s, p, random.Random(seed ^ i)).selected:
+            executed[k] += 1
+    assert _mc_batch(cl, q, seed, lo, hi) == executed == replayed
