@@ -33,6 +33,7 @@ from .mechanism import (
     budget_bound,
     classify,
     execute,
+    fair_draw_counts,
     minimal_delta,
     status_odds,
 )
@@ -286,37 +287,12 @@ def _cmd_run(args) -> int:
 
 def _mc_batch(cl: Classification, q: int, seed: int, lo: int, hi: int) -> list[int]:
     """Selection counts over runs lo..hi-1, equal to select_districts with
-    Random(seed ^ i) for each run i.
-
-    Only the draw differs between runs, so below districts are counted once
-    and a draw that is no real choice (q - c of 0 or t) is counted in closed
-    form. Otherwise one generator is reseeded per run through the C seed that
-    Random.seed runs for an int (gauss_next is never read here), and the
-    Fisher-Yates prefix of fair_draw runs on a copy of the sorted tie pool,
-    each index taken by getrandbits with rejection as randrange(n) takes it.
-    """
-    runs = hi - lo
+    Random(seed ^ i) for each run i. Only the draw differs between runs, so
+    below districts are counted once and fair_draw_counts tallies the draws."""
     counts = [0] * len(cl.ratios)
     for k in cl.below:
-        counts[k] = runs
-    pool, need = sorted(cl.tied), cl.draw_size(q)
-    if need in (0, len(pool)):
-        for k in pool[:need]:
-            counts[k] = runs
-        return counts
-    rng = random.Random()
-    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
-    steps = [(j, len(pool) - j, (len(pool) - j).bit_length()) for j in range(need)]
-    for i in range(lo, hi):
-        reseed(seed ^ i)
-        items = pool[:]
-        for j, n, bits in steps:
-            r = getrandbits(bits)
-            while r >= n:
-                r = getrandbits(bits)
-            r += j
-            items[j], items[r] = items[r], items[j]
-            counts[items[j]] += 1
+        counts[k] = hi - lo
+    fair_draw_counts(sorted(cl.tied), cl.draw_size(q), seed, lo, hi, counts)
     return counts
 
 

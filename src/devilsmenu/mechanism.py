@@ -213,6 +213,31 @@ def fair_draw(pool: list, need: int, rng: random.Random) -> list:
     return pool[:need]
 
 
+def fair_draw_counts(pool: list, need: int, seed: int, lo: int, hi: int,
+                     counts: list[int]) -> None:
+    """Add one to counts[x] for each x that fair_draw(pool[:], need,
+    Random(seed ^ i)) draws, for each run i in lo..hi-1.
+
+    One generator is reseeded per run through the C seed that Random.seed
+    runs for an int (gauss_next is never read here), and each index is
+    getrandbits with rejection, which is how randrange(n) draws on CPython
+    3.10 and later.
+    """
+    rng = random.Random()
+    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
+    steps = [(j, len(pool) - j, (len(pool) - j).bit_length()) for j in range(need)]
+    for i in range(lo, hi):
+        reseed(seed ^ i)
+        items = pool[:]
+        for j, n, bits in steps:
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            r += j
+            items[j], items[r] = items[r], items[j]
+            counts[items[j]] += 1
+
+
 def status_odds(interim: str, c: int, t: int, q: int) -> tuple[tuple[str, Fraction], ...]:
     """Final statuses of a BELOW, TIED or ABOVE district and their odds over the fair draw.
 

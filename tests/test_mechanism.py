@@ -33,6 +33,8 @@ from devilsmenu.mechanism import (
     ActionCount,
     Classification,
     CountProfile,
+    fair_draw,
+    fair_draw_counts,
 )
 
 V = Fraction(100)
@@ -186,6 +188,22 @@ def test_getrandbits_with_rejection_is_randrange():
                 r = got.getrandbits(n.bit_length())
             assert r == ref.randrange(n), (seed, n)
         assert got.getstate() == ref.getstate()
+
+
+def test_fair_draw_counts_tallies_fair_draw():
+    # fair_draw_counts is the Monte Carlo form of fair_draw: run i draws as
+    # fair_draw does from Random(seed ^ i) over the pool in the order given.
+    pool = [6, 2, 9, 0, 4]
+    for seed in (0, 7, 2**32 + 5):
+        for need in range(len(pool) + 1):
+            expected = [0] * 10
+            for i in range(3, 40):
+                for x in fair_draw(pool[:], need, random.Random(seed ^ i)):
+                    expected[x] += 1
+            counts = [0] * 10
+            fair_draw_counts(pool, need, seed, 3, 40, counts)
+            assert counts == expected, (seed, need)
+    assert pool == [6, 2, 9, 0, 4]
 
 
 # ------------------------------------------------------------------- prices
