@@ -46,15 +46,26 @@ from .equilibrium import (
     tie_payoff_gap_holds,
     verify_sabotage_bound,
 )
-from .variants import (
-    CommitmentGame,
-    CommitmentProfile,
-    run_commitment,
-    run_lemons,
-    run_sequential,
-    sequential_rounds,
-    verify_commitment_equilibrium,
-    verify_subgame_perfect,
-)
+
+# The variants load on first use, so importing the package or the CLI does
+# not pay for them (PEP 562).
+_VARIANTS = frozenset({
+    "CommitmentGame",
+    "CommitmentProfile",
+    "run_commitment",
+    "run_lemons",
+    "run_sequential",
+    "sequential_rounds",
+    "verify_commitment_equilibrium",
+    "verify_subgame_perfect",
+})
+
+
+def __getattr__(name: str):
+    if name in _VARIANTS:
+        from . import variants
+        return getattr(variants, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -7,7 +7,6 @@ single scenario) and reports one pass/fail row per instance.
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,11 +14,10 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .equilibrium import enumerate_equilibria, tie_payoff_gap_holds, verify_sabotage_bound
 from .mechanism import minimal_delta, require_delta_at_least, tie_price_floor
-from .model import MenuVariant, Scenario, make_scenario
-from .variants import verify_subgame_perfect
+from .model import DistrictSpec, MenuVariant, Scenario
 
-V_DEFAULT = 100
-EPS_DEFAULT = 1
+V_DEFAULT = Fraction(100)
+EPS_DEFAULT = Fraction(1)
 
 CANONICAL = ("weak4-unique", "strong6-unique", "strong4-sigma-star",
              "sabotage-bound", "sequential-spe")
@@ -58,8 +56,11 @@ class ClaimSuite:
         return all(r.passed for r in self.results)
 
 
-def _menu_scenario(districts, q: int, menu: MenuVariant, delta: Fraction) -> Scenario:
-    return make_scenario(districts, V_DEFAULT, EPS_DEFAULT, delta, q, menu=menu)
+def _floors(menu: MenuVariant, k: int, sequential: bool = False) -> list[tuple[int, Fraction]]:
+    """(q, the menu's minimum tie price) for every q below k: each family
+    member with k districts takes one of these pricings."""
+    return [(q, tie_price_floor(menu, k, q, V_DEFAULT, EPS_DEFAULT, sequential))
+            for q in range(1, k)]
 
 
 def menu_family(
@@ -73,12 +74,12 @@ def menu_family(
     so multisets avoid rescanning permuted copies. Each scenario gets the
     menu's minimum tie price for its (k, q).
     """
-    pairs = tuple(itertools.product(counts, counts))
+    specs = tuple(DistrictSpec(r, d) for r, d in itertools.product(counts, counts))
     for k in kbar_values:
-        for districts in itertools.combinations_with_replacement(pairs, k):
-            for q in range(1, k):
-                yield _menu_scenario(districts, q, menu,
-                                     tie_price_floor(menu, k, q, V_DEFAULT, EPS_DEFAULT))
+        floors = _floors(menu, k)
+        for districts in itertools.combinations_with_replacement(specs, k):
+            for q, delta in floors:
+                yield Scenario(districts, V_DEFAULT, EPS_DEFAULT, delta, q, menu=menu)
 
 
 def sequential_family(
@@ -87,11 +88,11 @@ def sequential_family(
 ) -> Iterator[Scenario]:
     """Symmetric-district instances for the sequential subgame check."""
     for k in kbar_values:
+        floors = _floors(MenuVariant.WEAK4, k, sequential=True)
         for r, d in itertools.product(counts, counts):
-            for q in range(1, k):
-                delta = tie_price_floor(MenuVariant.WEAK4, k, q, V_DEFAULT, EPS_DEFAULT,
-                                        sequential=True)
-                yield _menu_scenario([(r, d)] * k, q, MenuVariant.WEAK4, delta)
+            districts = (DistrictSpec(r, d),) * k
+            for q, delta in floors:
+                yield Scenario(districts, V_DEFAULT, EPS_DEFAULT, delta, q)
 
 
 def _label(s: Scenario) -> str:
@@ -136,6 +137,7 @@ def _check_sabotage_bound(s: Scenario) -> ClaimResult:
 
 
 def _check_sequential_spe(s: Scenario) -> ClaimResult:
+    from .variants import verify_subgame_perfect
     ok = verify_subgame_perfect(s)
     return ClaimResult(_label(s), ok, "all residual rounds unique" if ok else "a round failed")
 
@@ -175,6 +177,7 @@ def ordered_map(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
     processes when workers > 1, in this process otherwise."""
     if workers <= 1:
         return [fn(*args) for args in calls]
+    import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*calls)))
 

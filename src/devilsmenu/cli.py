@@ -52,14 +52,6 @@ from .model import (
     scenario_warnings,
     validate_scenario,
 )
-from .variants import (
-    CommitmentGame,
-    CommitmentProfile,
-    run_commitment,
-    run_lemons,
-    run_sequential,
-    verify_commitment_equilibrium,
-)
 
 SCENARIO_KEYS = {"districts", "V", "epsilon", "delta", "q", "budget", "menu", "seed"}
 DISTRICT_KEYS = {"real", "decoy"}
@@ -372,6 +364,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sequential(args) -> int:
+    from .variants import run_sequential
     s = parse_scenario_file(args.scenario)
     seed = _resolve_seed(args, s)
     _print_scenario_header(s, "sequential", seed)
@@ -396,9 +389,14 @@ def _cmd_sequential(args) -> int:
 
 
 def _cmd_commitment(args) -> int:
+    from .variants import (CommitmentGame, CommitmentProfile, run_commitment,
+                           verify_commitment_equilibrium)
     s = parse_scenario_file(args.scenario)
     if s.menu.tag != "commitment":
         raise ScenarioFormatError("the commitment subcommand needs menu \"commitment:<target>\"")
+    deviators = args.decoys_to_slot1
+    if not args.verify and not 0 <= deviators <= s.total_decoy:
+        raise ScenarioFormatError("--decoys-to-slot1 outside 0..total decoys")
     seed = _resolve_seed(args, s)
     game = CommitmentGame(s.total_real, s.menu.target, s.real_value, s.epsilon)
     _print_scenario_header(s, "commitment", seed)
@@ -411,9 +409,6 @@ def _cmd_commitment(args) -> int:
                   f"decoy_s1={eq.decoy_s1} decoy_s2={eq.decoy_s2}")
         print(f"sigma-star unique: {'yes' if report.sigma_star_unique else 'no'}")
         return 0 if report.sigma_star_unique else 1
-    deviators = args.decoys_to_slot1
-    if not (0 <= deviators <= s.total_decoy):
-        raise ScenarioFormatError("--decoys-to-slot1 outside 0..total decoys")
     profile = CommitmentProfile(s.total_real, 0, deviators, s.total_decoy - deviators)
     outcome = run_commitment(game, profile, random.Random(seed))
     print(f"slot-one applicants: {profile.slot1_total} (cap {game.total_real})")
@@ -426,6 +421,7 @@ def _cmd_commitment(args) -> int:
 
 
 def _cmd_lemons(args) -> int:
+    from .variants import run_lemons
     v = parse_rational(args.v)
     eps = parse_rational(args.epsilon)
     outcome = run_lemons(args.good, args.bad, v, eps,
@@ -494,13 +490,21 @@ def _cmd_sweep(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every subcommand is registered with its help text;
+    only `command`, or every subcommand when it is None, gets its options,
+    since a call parses the options of one subcommand only."""
     parser = argparse.ArgumentParser(
         prog="devils-menu",
         description="Run price-menu vote-buying mechanisms and verify their "
                     "equilibrium and budget properties on small instances.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, help_text):
+        """Register a subcommand; return it if its options are wanted."""
+        p = sub.add_parser(name, help=help_text)
+        return p if command in (None, name) else None
 
     def common(p, scenario=True, out=True, workers=False):
         """The shared options a subcommand's handler reads."""
@@ -514,68 +518,71 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workers", type=int, default=1,
                            help="worker processes for parallelizable loads")
 
-    p = sub.add_parser("run", help="execute one mechanism run")
-    common(p, workers=True)
-    p.add_argument("--profile", default="sigma-star",
-                   help="'sigma-star' or a profile JSON file")
-    p.add_argument("--mc", type=int, default=0,
-                   help="also tally selection frequencies over this many seeded runs")
-    p.set_defaults(func=_cmd_run)
+    if p := add("run", "execute one mechanism run"):
+        common(p, workers=True)
+        p.add_argument("--profile", default="sigma-star",
+                       help="'sigma-star' or a profile JSON file")
+        p.add_argument("--mc", type=int, default=0,
+                       help="also tally selection frequencies over this many seeded runs")
+        p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("enumerate", help="exhaustively enumerate pure equilibria")
-    common(p)
-    p.add_argument("--filter-dominated", choices=("on", "off"), default="on")
-    p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP)
-    p.set_defaults(func=_cmd_enumerate)
+    if p := add("enumerate", "exhaustively enumerate pure equilibria"):
+        common(p)
+        p.add_argument("--filter-dominated", choices=("on", "off"), default="on")
+        p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP)
+        p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("verify", help="run a claim suite; exit 1 if it fails")
-    common(p, scenario=False, workers=True)
-    p.add_argument("--scenario", default=None,
-                   help="check a single scenario instead of a family")
-    p.add_argument("--claim", required=True,
-                   help="weak4-unique|strong6-unique|strong4-sigma-star|"
-                        "sabotage-bound|sequential-spe (short aliases: "
-                        "thm1|thm2|prop2|cor1|prop1)")
-    p.add_argument("--family", choices=("small", "full"), default="small")
-    p.set_defaults(func=_cmd_verify)
+    if p := add("verify", "run a claim suite; exit 1 if it fails"):
+        common(p, scenario=False, workers=True)
+        p.add_argument("--scenario", default=None,
+                       help="check a single scenario instead of a family")
+        p.add_argument("--claim", required=True,
+                       help="weak4-unique|strong6-unique|strong4-sigma-star|"
+                            "sabotage-bound|sequential-spe (short aliases: "
+                            "thm1|thm2|prop2|cor1|prop1)")
+        p.add_argument("--family", choices=("small", "full"), default="small")
+        p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sequential", help="buy one district per date")
-    common(p)
-    p.set_defaults(func=_cmd_sequential)
+    if p := add("sequential", "buy one district per date"):
+        common(p)
+        p.set_defaults(func=_cmd_sequential)
 
-    p = sub.add_parser("commitment", help="run the all-or-nothing districtless variant")
-    common(p, out=False)
-    p.add_argument("--decoys-to-slot1", type=int, default=0,
-                   help="move this many decoys into slot one (sabotage probe)")
-    p.add_argument("--verify", action="store_true",
-                   help="enumerate equilibria instead of running once")
-    p.set_defaults(func=_cmd_commitment)
+    if p := add("commitment", "run the all-or-nothing districtless variant"):
+        common(p, out=False)
+        p.add_argument("--decoys-to-slot1", type=int, default=0,
+                       help="move this many decoys into slot one (sabotage probe)")
+        p.add_argument("--verify", action="store_true",
+                       help="enumerate equilibria instead of running once")
+        p.set_defaults(func=_cmd_commitment)
 
-    p = sub.add_parser("lemons", help="buy one good used car from sellers of hidden quality")
-    p.add_argument("--good", type=int, required=True)
-    p.add_argument("--bad", type=int, required=True)
-    p.add_argument("--v", default="100", help="good-car valuation (rational)")
-    p.add_argument("--epsilon", default="1", help="price unit (rational)")
-    p.add_argument("--bad-to-slot1", type=int, default=0,
-                   help="bad sellers defecting into slot one")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_lemons)
+    if p := add("lemons", "buy one good used car from sellers of hidden quality"):
+        p.add_argument("--good", type=int, required=True)
+        p.add_argument("--bad", type=int, required=True)
+        p.add_argument("--v", default="100", help="good-car valuation (rational)")
+        p.add_argument("--epsilon", default="1", help="price unit (rational)")
+        p.add_argument("--bad-to-slot1", type=int, default=0,
+                       help="bad sellers defecting into slot one")
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=_cmd_lemons)
 
-    p = sub.add_parser("sweep", help="vary delta or q over a grid and tabulate")
-    common(p)
-    p.add_argument("--param", choices=("delta", "q"), required=True)
-    p.add_argument("--from", dest="start", required=True, help="grid start (rational)")
-    p.add_argument("--to", dest="stop", required=True, help="grid end (rational)")
-    p.add_argument("--steps", type=int, required=True, help="number of grid points")
-    p.add_argument("--filter-dominated", choices=("on", "off"), default="on")
-    p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP)
-    p.set_defaults(func=_cmd_sweep)
+    if p := add("sweep", "vary delta or q over a grid and tabulate"):
+        common(p)
+        p.add_argument("--param", choices=("delta", "q"), required=True)
+        p.add_argument("--from", dest="start", required=True, help="grid start (rational)")
+        p.add_argument("--to", dest="stop", required=True, help="grid end (rational)")
+        p.add_argument("--steps", type=int, required=True, help="number of grid points")
+        p.add_argument("--filter-dominated", choices=("on", "off"), default="on")
+        p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP)
+        p.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The root parser has no option that takes a value, so the first word
+    # that is not an option names the subcommand.
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     for flag, low in (("mc", 0), ("workers", 1)):
         if getattr(args, flag, low) < low:

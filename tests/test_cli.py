@@ -333,6 +333,8 @@ MIXED_ROWS = [{"real_s1": 1, "real_s2": 1, "decoy_s2": 2},
     ["run", "--scenario", str(SHIPPED), "--mc", "500"],
     # 7 runs split into chunks of 4 + 3 and 3 + 3 + 1
     ["run", "--scenario", "mixed.json", "--profile", "mixed-profile.json", "--mc", "7"],
+    # the pool and the variants load on first use, in the workers too
+    ["verify", "--claim", "sequential-spe", "--family", "small"],
 ])
 def test_cli_two_workers_match_one(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -403,3 +405,12 @@ def test_cli_sweep_refuses_a_bad_grid_before_printing(tmp_path, capsys, grid, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("deviators", ["-1", "7"])  # GOOD has 6 decoys
+def test_cli_commitment_refuses_a_bad_decoy_count_before_printing(tmp_path, capsys, deviators):
+    path = write(tmp_path, dict(GOOD, menu="commitment:2"))
+    assert main(["commitment", "--scenario", path, "--decoys-to-slot1", deviators]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --decoys-to-slot1 outside 0..total decoys" in captured.err

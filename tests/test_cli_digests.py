@@ -52,8 +52,8 @@ CASES = {
     "lemons": (["lemons", "--good", "3", "--bad", "5", "--seed", "4"], False),
     **{f"verify-scenario-{claim}": (["verify", "--claim", claim, "--scenario", THREE], True)
        for claim in ("sabotage-bound", "weak4-unique")},
-    **{f"verify-small-{claim}": (["verify", "--claim", claim, "--family", "small"], True)
-       for claim in CLAIMS},
+    **{f"verify-{family}-{claim}": (["verify", "--claim", claim, "--family", family], True)
+       for family in ("small", "full") for claim in CLAIMS},
     "scan-cap-error": (["enumerate", "--scenario", THREE, "--scan-cap", "10"], True),
 }
 
@@ -76,6 +76,11 @@ DIGESTS = {
     'sweep-delta-off': (0, '6a34fc840724ae97', 'eb47a3c8486fcff7', 'e3b0c44298fc1c14'),
     'sweep-delta-on': (0, '1b0a7956beaf2ebf', '407d2c88a14ee00f', 'e3b0c44298fc1c14'),
     'sweep-q': (0, 'fdcd3bb0c3219a8c', '1522608e21903445', 'e3b0c44298fc1c14'),
+    'verify-full-sabotage-bound': (0, 'fa27bb1ac1bf8d47', 'f411f536a7e0c826', 'e3b0c44298fc1c14'),
+    'verify-full-sequential-spe': (0, 'cd81e05caacb7537', '494755fed2988888', 'e3b0c44298fc1c14'),
+    'verify-full-strong4-sigma-star': (0, '45384575e4419a79', 'e0257d94f17ed366', 'e3b0c44298fc1c14'),
+    'verify-full-strong6-unique': (0, 'df83596df359114f', '72912b4b9111681f', 'e3b0c44298fc1c14'),
+    'verify-full-weak4-unique': (0, '2f5dd0bdde9f1e8d', 'b6a742254239904b', 'e3b0c44298fc1c14'),
     'verify-scenario-sabotage-bound': (0, 'a0fd265a3bb9ee20', 'b84618a6b1c4dbdc', 'e3b0c44298fc1c14'),
     'verify-scenario-weak4-unique': (0, 'c1eb1c73fda1b788', '5129b4f9ba0d1b92', 'e3b0c44298fc1c14'),
     'verify-small-sabotage-bound': (0, 'f514e9b522dc7236', 'e2a3f0b9b573b161', 'e3b0c44298fc1c14'),

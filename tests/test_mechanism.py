@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -13,6 +13,7 @@ from devilsmenu import (
     classify,
     execute,
     expected_expenditure,
+    make_scenario,
     minimal_delta,
     price_for,
     select_districts,
@@ -20,7 +21,7 @@ from devilsmenu import (
     strong4_expenditure_bound,
     strong6_expenditure_bound,
 )
-from devilsmenu.claims import CANONICAL, family_for
+from devilsmenu.claims import CANONICAL, family_for, menu_family, sequential_family
 from devilsmenu.cli import _mc_batch
 from devilsmenu.mechanism import (
     DECOY,
@@ -35,6 +36,7 @@ from devilsmenu.mechanism import (
     CountProfile,
     fair_draw,
     fair_draw_counts,
+    tie_price_floor,
 )
 
 V = Fraction(100)
@@ -359,6 +361,30 @@ def test_every_family_member_sits_at_its_minimal_delta(claim):
     assert members
     for s in members:
         assert s.delta == minimal_delta(s, sequential=sequential), s
+
+
+@pytest.mark.parametrize("menu", [MenuVariant.WEAK4, MenuVariant.STRONG6, MenuVariant.STRONG4])
+@pytest.mark.parametrize("kbar_values, counts", [((2, 3, 4), (1, 2, 3)), ((2, 3), (1, 2))])
+def test_menu_family_equals_scenarios_built_from_raw_values(menu, kbar_values, counts):
+    # The families build each (k, q) pricing once; members must be the very
+    # scenarios make_scenario gives from raw values, in the same order.
+    pairs = [(r, d) for r in counts for d in counts]
+    expected = [make_scenario(districts, 100, 1, tie_price_floor(menu, k, q, 100, 1), q, menu=menu)
+                for k in kbar_values
+                for districts in combinations_with_replacement(pairs, k)
+                for q in range(1, k)]
+    got = list(menu_family(menu, kbar_values, counts))
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+def test_sequential_family_equals_scenarios_built_from_raw_values():
+    expected = [make_scenario([(r, d)] * k, 100, 1,
+                              tie_price_floor(MenuVariant.WEAK4, k, q, 100, 1, sequential=True), q)
+                for k in (2, 3) for r in (1, 2) for d in (1, 2) for q in range(1, k)]
+    got = list(sequential_family())
+    assert got == expected
+    assert repr(got) == repr(expected)
 
 
 def test_expenditure_within_bound_over_all_draws():
