@@ -11,6 +11,10 @@ test (exit code 1). The script exits 1 if a mutant survives, if its old
 text is missing or ambiguous, or if pytest ends any other way (a test id
 that does not exist is not a kill).
 
+Before any mutant, every named test runs once on an unmutated copy, and the
+script exits 1 unless they all pass: a test that fails anyway would read as
+a kill.
+
 The list only grows. Removing or editing an entry is a test change, to be
 made only with its reason stated in CHANGES.md. (DeMillo, Lipton and
 Sayward, "Hints on test data selection", IEEE Computer 1978.)
@@ -43,24 +47,41 @@ CLAIMS, CLI, INIT = ("src/devilsmenu/claims.py", "src/devilsmenu/cli.py",
                      "src/devilsmenu/__init__.py")
 MECHANISM, EQUILIBRIUM = "src/devilsmenu/mechanism.py", "src/devilsmenu/equilibrium.py"
 T_MECH, T_EQ, T_PROP = "tests/test_mechanism.py", "tests/test_equilibrium.py", "tests/test_properties.py"
+T_CLI = "tests/test_cli.py::test_cli_refuses_before_printing"
 COMMITMENT_CHECK = """\
     deviators = args.decoys_to_slot1
     if not args.verify and not 0 <= deviators <= s.total_decoy:
         raise ScenarioFormatError("--decoys-to-slot1 outside 0..total decoys")
 """
-COMMITMENT_HEADER = """\
-    seed = _resolve_seed(args, s)
-    game = CommitmentGame(s.total_real, s.menu.target, s.real_value, s.epsilon)
-    _print_scenario_header(s, "commitment", seed)
-"""
+COMMITMENT_SEED = "    seed = _resolve_seed(args, s)\n"
+COMMITMENT_HEADER = '    _print_scenario_header(s, "commitment", seed)\n'
+COMMITMENT_VERIFY = "        report = verify_commitment_equilibrium(game, s.total_decoy)\n"
+SEQUENTIAL_RUN = "    outcomes = run_sequential(s, random.Random(seed))\n"
+SEQUENTIAL_HEADER = '    _print_scenario_header(s, "sequential", seed)\n'
 
 MUTANTS = [
     Mutant("family floors numbered from q = 0", CLAIMS,
            "for q in range(1, k)]", "for q in range(k - 1)]",
            (f"{T_MECH}::test_menu_family_equals_scenarios_built_from_raw_values",)),
     Mutant("commitment range check after the header", CLI,
-           COMMITMENT_CHECK + COMMITMENT_HEADER, COMMITMENT_HEADER + COMMITMENT_CHECK,
+           COMMITMENT_CHECK + COMMITMENT_SEED, COMMITMENT_SEED + COMMITMENT_HEADER + COMMITMENT_CHECK,
            ("tests/test_cli.py::test_cli_commitment_refuses_a_bad_decoy_count_before_printing",)),
+    Mutant("sequential runs after the header", CLI,
+           SEQUENTIAL_RUN + SEQUENTIAL_HEADER, SEQUENTIAL_HEADER + SEQUENTIAL_RUN,
+           (f"{T_CLI}[sequential-below-floor]", f"{T_CLI}[sequential-strong6]")),
+    Mutant("sweep scans after the header", CLI,
+           "    rows = []\n    for value in values:\n",
+           '    _print_scenario_header(s, "sweep", _resolve_seed(args, s))\n'
+           "    rows = []\n    for value in values:\n",
+           (f"{T_CLI}[sweep-scan-cap]",)),
+    Mutant("commitment verifies after the header", CLI,
+           COMMITMENT_VERIFY + "    " + COMMITMENT_HEADER,
+           "    " + COMMITMENT_HEADER + COMMITMENT_VERIFY,
+           (f"{T_CLI}[commitment-verify-scan-cap]",)),
+    Mutant("run classifies and executes after the header", CLI,
+           "    cl = classify(s, profile)\n",
+           '    _print_scenario_header(s, "run", seed)\n    cl = classify(s, profile)\n',
+           (f"{T_CLI}[run-commitment-menu]",)),
     Mutant("parser configures a subcommand other than the one invoked", CLI,
            "(a for a in argv if not", "(a for a in argv[1:] if not",
            ("tests/test_startup.py::test_main_parses_as_the_fully_configured_parser",)),
@@ -87,11 +108,11 @@ MUTANTS = [
            "if interim == BELOW or (interim == TIED and q - c == t):",
            "if interim == BELOW:",
            (f"{T_MECH}::test_execute_prices_a_degenerate_draw_as_outright",)),
-    Mutant("threshold clamp ignores y", EQUILIBRIUM,
+    Mutant("threshold clamp ignores y", MECHANISM,
            "tau = lo if y < lo else (hi if y > hi else y)", "tau = lo if y < lo else hi",
            (f"{T_PROP}::test_threshold_summary_meets_its_edge_cases",
             f"{T_PROP}::test_threshold_summary_moves_equal_partition_of_moved_vector")),
-    Mutant("threshold bound of a moving tied key ignores c", EQUILIBRIUM,
+    Mutant("threshold bound of a moving tied key ignores c", MECHANISM,
            "(below if c == q - 1 else tau, above)", "(tau, above)",
            (f"{T_PROP}::test_threshold_summary_meets_its_edge_cases",
             f"{T_PROP}::test_threshold_summary_moves_equal_partition_of_moved_vector")),
@@ -117,40 +138,66 @@ MUTANTS = [
            "rows = [tuple(option[2] for option in reversed(orbit)) for orbit in rep]",
            "rows = [tuple(option[2] for option in orbit) for orbit in rep]",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
-    Mutant("interim lookup without the count range check", EQUILIBRIUM,
-           "0 <= mk <= n + d for mk", "True for mk",
-           (f"{T_EQ}::test_interim_rank_lookup_rejects_unreachable_counts",)),
+    Mutant("deviation payoff without the occupied-class refusal", EQUILIBRIUM,
+           "if counts[who.district][idx] == 0:", "if False:",
+           (f"{T_EQ}::test_deviation_requires_occupied_class",)),
+    Mutant("classify keys without the L / r step", MECHANISM,
+           "keys = [ac.slot1_applicants * (scale // d.real_count)", "keys = [ac.slot1_applicants",
+           (f"{T_PROP}::test_classify_equals_oracle_partition",)),
+    Mutant("classify threshold without / L", MECHANISM,
+           "Fraction(summary.tau, scale)", "Fraction(summary.tau)",
+           (f"{T_PROP}::test_classify_equals_oracle_partition",)),
+    Mutant("tied and above swapped in the status-code order", MECHANISM,
+           "INTERIM_BY_CODE = (BELOW, TIED, ABOVE)", "INTERIM_BY_CODE = (BELOW, ABOVE, TIED)",
+           (f"{T_PROP}::test_classify_equals_oracle_partition",
+            f"{T_PROP}::test_expected_payoff_matches_draw_enumeration")),
     Mutant("an assert in model.py", "src/devilsmenu/model.py",
            "    out: list[str] = []\n", "    out: list[str] = []\n    assert s.districts\n",
            ("tests/test_source.py::test_src_has_no_assert_statements",)),
 ]
 
 
-def check(mutant: Mutant) -> str:
-    """'killed', or why the mutant does not count as killed."""
+def run_tests(tests: tuple[str, ...], mutant: Mutant | None = None) -> tuple[int | None, str]:
+    """(pytest's exit code, the last lines of its output) for tests run on
+    a fresh copy of the project, with mutant applied if given; no exit code
+    when the mutant's old text is missing or ambiguous."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
         for name in COPIED:
             src = ROOT / name
             (shutil.copytree if src.is_dir() else shutil.copy2)(src, work / name)
-        target = work / mutant.path
-        text = target.read_text()
-        if text.count(mutant.old) != 1:
-            return f"ERROR: old text found {text.count(mutant.old)} times in {mutant.path}"
-        target.write_text(text.replace(mutant.old, mutant.new))
+        if mutant is not None:
+            target = work / mutant.path
+            text = target.read_text()
+            if text.count(mutant.old) != 1:
+                return None, f"old text found {text.count(mutant.old)} times in {mutant.path}"
+            target.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=work, env=env, capture_output=True, text=True)
-    if done.returncode == 1:
+    return done.returncode, "\n".join(done.stdout.strip().splitlines()[-5:])
+
+
+def check(mutant: Mutant) -> str:
+    """'killed', or why the mutant does not count as killed."""
+    code, tail = run_tests(mutant.tests, mutant)
+    if code == 1:
         return "killed"
-    if done.returncode == 0:
+    if code == 0:
         return "SURVIVED"
-    tail = "\n".join(done.stdout.strip().splitlines()[-5:])
-    return f"ERROR: pytest exited {done.returncode}\n{tail}"
+    if code is None:
+        return f"ERROR: {tail}"
+    return f"ERROR: pytest exited {code}\n{tail}"
 
 
 def main() -> int:
+    named = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+    code, tail = run_tests(named)
+    if code != 0:
+        print(f"the named tests do not all pass unmutated (pytest exited {code}):\n{tail}")
+        return 1
+    print(f"{len(named)} named tests pass unmutated", flush=True)
     bad = 0
     for mutant in MUTANTS:
         start = time.perf_counter()

@@ -218,15 +218,17 @@ def _cmd_run(args) -> int:
         profile = CountProfile.sigma_star(s)
     else:
         profile = parse_profile_file(args.profile, s)
+    cl = classify(s, profile)
+    outcome = execute(s, profile, random.Random(seed))
+    spend = expected_expenditure(s, profile)
+    if args.mc:
+        rows = _mc_rows(cl, s.target_count,
+                        _mc_counts(cl, s.target_count, seed, args.mc, args.workers), args.mc)
     _print_scenario_header(s, "run", seed)
     print(f"profile: {args.profile}")
-
-    cl = classify(s, profile)
     print("ratios: " + ", ".join(format_rational(r) for r in cl.ratios))
     print(f"threshold: {format_rational(cl.threshold)}")
     print(f"below: {_fmt_set(cl.below)}   tied: {_fmt_set(cl.tied)}   above: {_fmt_set(cl.above)}")
-
-    outcome = execute(s, profile, random.Random(seed))
     drawn = _fmt_set(outcome.drawn_from_tie)
     print(f"selected: {_fmt_set(outcome.selected)} (drawn from tie: {drawn})")
 
@@ -242,8 +244,7 @@ def _cmd_run(args) -> int:
           f" (~{approx(outcome.expenditure)})")
     acquired = " ".join(f"{k}:{n}" for k, n in enumerate(outcome.acquired_real_ballots))
     print(f"acquired real ballots: {acquired} (total {outcome.total_acquired})")
-    print(f"expected expenditure over the draw: "
-          f"{format_rational(expected_expenditure(s, profile))}")
+    print(f"expected expenditure over the draw: {format_rational(spend)}")
     if s.menu.tag == "weak4":
         print(f"expenditure bound: {format_rational(budget_bound(s))}")
         floor = minimal_delta(s)
@@ -252,8 +253,6 @@ def _cmd_run(args) -> int:
               f"{format_rational(floor)} (delta at or above: {above})")
 
     if args.mc:
-        counts = _mc_counts(cl, s.target_count, seed, args.mc, args.workers)
-        rows = _mc_rows(cl, s.target_count, counts, args.mc)
         print(f"selection frequencies over {args.mc} runs:")
         print(_table([(str(k), str(n), f"{n / args.mc:.6f}", format_rational(p), ok)
                       for (k, n, p, ok) in rows],
@@ -367,8 +366,8 @@ def _cmd_sequential(args) -> int:
     from .variants import run_sequential
     s = parse_scenario_file(args.scenario)
     seed = _resolve_seed(args, s)
-    _print_scenario_header(s, "sequential", seed)
     outcomes = run_sequential(s, random.Random(seed))
+    _print_scenario_header(s, "sequential", seed)
     total = Fraction(0)
     rows = []
     for rnd, outcome in enumerate(outcomes, 1):
@@ -399,9 +398,9 @@ def _cmd_commitment(args) -> int:
         raise ScenarioFormatError("--decoys-to-slot1 outside 0..total decoys")
     seed = _resolve_seed(args, s)
     game = CommitmentGame(s.total_real, s.menu.target, s.real_value, s.epsilon)
-    _print_scenario_header(s, "commitment", seed)
     if args.verify:
         report = verify_commitment_equilibrium(game, s.total_decoy)
+        _print_scenario_header(s, "commitment", seed)
         print(f"profiles scanned: {report.profiles_scanned}")
         print(f"equilibria found: {len(report.equilibria)}")
         for eq in report.equilibria:
@@ -411,6 +410,7 @@ def _cmd_commitment(args) -> int:
         return 0 if report.sigma_star_unique else 1
     profile = CommitmentProfile(s.total_real, 0, deviators, s.total_decoy - deviators)
     outcome = run_commitment(game, profile, random.Random(seed))
+    _print_scenario_header(s, "commitment", seed)
     print(f"slot-one applicants: {profile.slot1_total} (cap {game.total_real})")
     print(f"overflow: {'yes' if outcome.overflow else 'no'}")
     print(f"winners: {outcome.winners_real} real, {outcome.winners_decoy} decoy")
@@ -459,8 +459,6 @@ def _cmd_sweep(args) -> int:
     s = parse_scenario_file(args.scenario)
     filtered = args.filter_dominated == "on"
     values = _sweep_values(args)
-    _print_scenario_header(s, "sweep", _resolve_seed(args, s))
-    print(f"parameter: {args.param}")
     rows = []
     for value in values:
         if args.param == "delta":
@@ -481,6 +479,8 @@ def _cmd_sweep(args) -> int:
     header = (args.param, f"{args.param}_approx", "valid", "equilibria",
               "sigma_star_present", "sigma_star_expenditure",
               "sigma_star_expenditure_approx")
+    _print_scenario_header(s, "sweep", _resolve_seed(args, s))
+    print(f"parameter: {args.param}")
     print(_table([tuple(r) for r in rows], header))
     if args.out:
         _write_csv(args.out, header, rows, scenario=s)

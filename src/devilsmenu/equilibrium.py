@@ -9,28 +9,25 @@ ties.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
-from math import inf, lcm, prod
+from math import lcm, prod
 from operator import mul
 from typing import Iterator, Optional
 
 from .mechanism import (
-    ABOVE,
     ABSTAIN,
     ACTIONS,
-    BELOW,
     DECOY,
+    INTERIM_BY_CODE,
     REAL,
     S1,
     S2,
-    TIED,
     CountProfile,
+    Threshold,
     budget_bound,
-    interim_partition,
     price_table,
     require_target_in_range,
     settle,
@@ -63,10 +60,6 @@ class EquilibriumReport:
     profiles_scanned: int
     candidates_checked: int
 
-
-# Interim statuses by code: a district's code is 0, 1 or 2 as its slot-one
-# key is below, at or above the threshold.
-_STATUSES = (BELOW, TIED, ABOVE)
 
 _CLASS_SLOTS = {  # index of each (type, action) inside a counts tuple, in that order
     (REAL, S1): 0, (REAL, S2): 1, (REAL, ABSTAIN): 2,
@@ -117,8 +110,8 @@ class _PricingTables:
         if got is None:
             st, c, t, st2, c2, t2, mv = key
             _, voter_type, action, alt, _ = _MOVES[mv]
-            got = (self.payoff(_STATUSES[st2], c2, t2, voter_type, alt)
-                   > self.payoff(_STATUSES[st], c, t, voter_type, action))
+            got = (self.payoff(INTERIM_BY_CODE[st2], c2, t2, voter_type, alt)
+                   > self.payoff(INTERIM_BY_CODE[st], c, t, voter_type, action))
             self._verdicts[key] = got
         return got
 
@@ -134,7 +127,7 @@ class _PricingTables:
                  sum(prob * settle(voter_type, self.prices[(action, final)], 1, self.v).paid
                      for final, prob in status_odds(status, c, t, self.q))
                  for voter_type, action in _CLASS_SLOTS]
-                for status in _STATUSES]
+                for status in INTERIM_BY_CODE]
             d = lcm(*(f.denominator for row in per_voter for f in row))
             got = d, tuple(tuple(f.numerator * (d // f.denominator) for f in row)
                            for row in per_voter)
@@ -148,56 +141,14 @@ def _pricing_tables(menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
     return _PricingTables(menu, q, v, epsilon, delta)
 
 
-class _Threshold:
-    """The threshold summary of one slot-one key vector: the keys sorted,
-    the threshold tau (the q-th smallest key), the counts c below it and t
-    at it, and, per status code of a moving key x, the (q-1)-th and q-th
-    smallest of the other keys (lo, hi), with -inf and +inf where there is
-    none.
-
-    When x moves to y, the new threshold is clamp(y, lo, hi), and the new
-    c and t are read off the sorted keys, corrected for x and y. So the
-    moved vector is never partitioned.
-    """
-
-    __slots__ = ("ranked", "tau", "c", "t", "bounds")
-
-    def __init__(self, keys: list[int], q: int):
-        self.ranked = ranked = sorted(keys)
-        self.tau = tau = ranked[q - 1]
-        self.c = c = bisect_left(ranked, tau)
-        self.t = bisect_right(ranked, tau, c) - c
-        below = ranked[q - 2] if q > 1 else -inf
-        above = ranked[q] if q < len(ranked) else inf
-        # Taking out a key below tau moves tau down to rank q - 1 of the
-        # rest and the key above it to rank q. So does taking out a tied
-        # key, unless no other tied key sat below rank q (c = q - 1).
-        self.bounds = ((tau, above), (below if c == q - 1 else tau, above), (below, tau))
-
-    def status(self, x: int) -> int:
-        tau = self.tau
-        return 0 if x < tau else (1 if x == tau else 2)
-
-    def after(self, x: int, y: int) -> tuple[int, int, int]:
-        """(status code of the mover, c, t) once one key x moves to y."""
-        lo, hi = self.bounds[self.status(x)]
-        tau = lo if y < lo else (hi if y > hi else y)
-        ranked = self.ranked
-        lt = bisect_left(ranked, tau)
-        return ((0 if y < tau else (1 if y == tau else 2)),
-                lt - (x < tau) + (y < tau),
-                bisect_right(ranked, tau, lt) - lt - (x == tau) + (y == tau))
-
-
 class _Ctx:
     """One scenario's districts, built once per call; nothing in it outlives
     the call. Verdicts and spends live in the scenario's _PricingTables,
     which are shared by every scenario with the same menu, q, V, eps and
     delta.
 
-    Partitions compare exact integer slot-one keys instead of ratios: with L
-    the lcm of the real counts, district k's ratio m / real_k is keyed
-    m * (L / real_k), which orders and equates like the ratio.
+    Slot-one counts are keyed as classify keys them: district k's m is
+    m * (L / real_k), with L the lcm of the real counts.
     """
 
     def __init__(self, s: Scenario):
@@ -212,24 +163,11 @@ class _Ctx:
         """The slot-one key of each district of counts, which must fit."""
         return [(cnt[0] + cnt[3]) * step for cnt, step in zip(counts, self.steps)]
 
-    def interim(self, m: tuple[int, ...]) -> tuple[tuple[str, ...], int, int]:
-        """(status per district, c, t) for slot-one applicant counts m."""
-        if len(m) != len(self.steps) or not all(
-                0 <= mk <= n + d for mk, n, d in zip(m, self.n_real, self.n_decoy)):
-            raise ProfileError(f"slot-one counts {m} are outside 0..real+decoy "
-                               f"for districts {tuple(zip(self.n_real, self.n_decoy))}")
-        _, statuses = interim_partition([mk * step for mk, step in zip(m, self.steps)],
-                                        self.tables.q)
-        return statuses, statuses.count(BELOW), statuses.count(TIED)
 
-
-def _slot1_vector(counts) -> tuple[int, ...]:
-    return tuple(c[0] + c[3] for c in counts)
-
-
-def _payoff_in(ctx: _Ctx, m: tuple[int, ...], k: int, voter_type: str, action: str) -> Fraction:
-    statuses, c, t = ctx.interim(m)
-    return ctx.tables.payoff(statuses[k], c, t, voter_type, action)
+def _payoff_in(ctx: _Ctx, keys: list[int], k: int, voter_type: str, action: str) -> Fraction:
+    summary = Threshold(keys, ctx.tables.q)
+    return ctx.tables.payoff(INTERIM_BY_CODE[summary.status(keys[k])], summary.c, summary.t,
+                             voter_type, action)
 
 
 def expected_payoff(s: Scenario, p: CountProfile, who: VoterClass) -> Fraction:
@@ -239,8 +177,8 @@ def expected_payoff(s: Scenario, p: CountProfile, who: VoterClass) -> Fraction:
     is what deviation checks evaluate after moving a voter in.
     """
     p.check_against(s)
-    m = _slot1_vector(p.as_counts())
-    return _payoff_in(_Ctx(s), m, who.district, who.voter_type, who.action)
+    ctx = _Ctx(s)
+    return _payoff_in(ctx, ctx.keys(p.as_counts()), who.district, who.voter_type, who.action)
 
 
 def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: str) -> Fraction:
@@ -256,9 +194,10 @@ def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: 
         raise ProfileError(
             f"district {who.district} has no {who.voter_type} voter playing {who.action}"
         )
-    m = list(_slot1_vector(counts))
-    m[who.district] += (new_action == S1) - (who.action == S1)
-    return _payoff_in(_Ctx(s), tuple(m), who.district, who.voter_type, new_action)
+    ctx = _Ctx(s)
+    keys = ctx.keys(counts)
+    keys[who.district] += ((new_action == S1) - (who.action == S1)) * ctx.steps[who.district]
+    return _payoff_in(ctx, keys, who.district, who.voter_type, new_action)
 
 
 def _compiled(ctx: _Ctx, k: int, row: tuple, moves: tuple) -> tuple:
@@ -273,7 +212,7 @@ def _compiled(ctx: _Ctx, k: int, row: tuple, moves: tuple) -> tuple:
 def _is_nash_counts(tables: _PricingTables, compiled: tuple) -> bool:
     """The Nash check of one profile, given as a compiled option per
     district. The verdict does not depend on the order of the districts."""
-    summary = _Threshold([x for x, _, _ in compiled], tables.q)
+    summary = Threshold([x for x, _, _ in compiled], tables.q)
     c, t, after, gains = summary.c, summary.t, summary.after, tables.gains
     for x, moves, _ in compiled:
         st = summary.status(x)
@@ -422,7 +361,7 @@ def expected_expenditure(s: Scenario, p: CountProfile) -> Fraction:
 
 def _expected_spend(ctx: _Ctx, counts) -> Fraction:
     keys = ctx.keys(counts)
-    summary = _Threshold(keys, ctx.tables.q)
+    summary = Threshold(keys, ctx.tables.q)
     d, rows = ctx.tables.spend(summary.c, summary.t)
     total = sum(sum(map(mul, cnt, rows[summary.status(x)])) for cnt, x in zip(counts, keys))
     return Fraction(total, d)

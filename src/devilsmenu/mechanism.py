@@ -9,9 +9,11 @@ interchangeable, so payments are computed per class and multiplied out.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import inf, lcm
+from typing import Iterable, Mapping
 
 from .model import (
     DeltaBelowThreshold,
@@ -163,14 +165,51 @@ class Classification:
         return need
 
 
-def interim_partition(ratios: Sequence[Fraction], q: int) -> tuple[Fraction, tuple[str, ...]]:
-    """The threshold (q-th smallest ratio, with multiplicity) and each
-    district's BELOW, TIED or ABOVE status against it; q must be in 1..k."""
-    require_target_in_range(q, len(ratios))
-    threshold = sorted(ratios)[q - 1]
-    return threshold, tuple(
-        BELOW if r < threshold else (TIED if r == threshold else ABOVE) for r in ratios
-    )
+# Interim status by code: a district's code is 0, 1 or 2 as its slot-one
+# key is below, at or above the threshold.
+INTERIM_BY_CODE = (BELOW, TIED, ABOVE)
+
+
+class Threshold:
+    """The threshold summary of one slot-one key vector: the keys sorted,
+    the threshold tau (the q-th smallest key), the counts c below it and t
+    at it, and, per status code of a moving key x, the (q-1)-th and q-th
+    smallest of the other keys (lo, hi), with -inf and +inf where there is
+    none. It is the one place where districts are sorted into below, tied
+    and above.
+
+    When x moves to y, the new threshold is clamp(y, lo, hi), and the new
+    c and t are read off the sorted keys, corrected for x and y. So the
+    moved vector is never partitioned.
+    """
+
+    __slots__ = ("ranked", "tau", "c", "t", "bounds")
+
+    def __init__(self, keys: list[int], q: int):
+        self.ranked = ranked = sorted(keys)
+        self.tau = tau = ranked[q - 1]
+        self.c = c = bisect_left(ranked, tau)
+        self.t = bisect_right(ranked, tau, c) - c
+        below = ranked[q - 2] if q > 1 else -inf
+        above = ranked[q] if q < len(ranked) else inf
+        # Taking out a key below tau moves tau down to rank q - 1 of the
+        # rest and the key above it to rank q. So does taking out a tied
+        # key, unless no other tied key sat below rank q (c = q - 1).
+        self.bounds = ((tau, above), (below if c == q - 1 else tau, above), (below, tau))
+
+    def status(self, x: int) -> int:
+        tau = self.tau
+        return 0 if x < tau else (1 if x == tau else 2)
+
+    def after(self, x: int, y: int) -> tuple[int, int, int]:
+        """(status code of the mover, c, t) once one key x moves to y."""
+        lo, hi = self.bounds[self.status(x)]
+        tau = lo if y < lo else (hi if y > hi else y)
+        ranked = self.ranked
+        lt = bisect_left(ranked, tau)
+        return ((0 if y < tau else (1 if y == tau else 2)),
+                lt - (x < tau) + (y < tau),
+                bisect_right(ranked, tau, lt) - lt - (x == tau) + (y == tau))
 
 
 def require_target_in_range(q: int, k: int) -> None:
@@ -179,16 +218,24 @@ def require_target_in_range(q: int, k: int) -> None:
 
 
 def classify(s: Scenario, p: CountProfile) -> Classification:
-    """Partition districts by their slot-one application ratio."""
+    """Partition districts by their slot-one application ratio.
+
+    With L the lcm of the real counts, district k's ratio m / real_k is
+    keyed m * (L / real_k), an integer that orders and equates like the
+    ratio, and a key x is the ratio x / L.
+    """
     p.check_against(s)
-    ratios = tuple(
-        Fraction(ac.slot1_applicants, d.real_count)
-        for ac, d in zip(p.per_district, s.districts)
-    )
-    threshold, statuses = interim_partition(ratios, s.target_count)
-    below, tied, above = (frozenset(k for k, st in enumerate(statuses) if st == which)
-                          for which in (BELOW, TIED, ABOVE))
-    return Classification(ratios, threshold, below, tied, above)
+    require_target_in_range(s.target_count, s.num_districts)
+    scale = lcm(*(d.real_count for d in s.districts))
+    keys = [ac.slot1_applicants * (scale // d.real_count)
+            for ac, d in zip(p.per_district, s.districts)]
+    summary = Threshold(keys, s.target_count)
+    parts: dict[str, list[int]] = {status: [] for status in INTERIM_BY_CODE}
+    for k, x in enumerate(keys):
+        parts[INTERIM_BY_CODE[summary.status(x)]].append(k)
+    return Classification(tuple(Fraction(x, scale) for x in keys),
+                          Fraction(summary.tau, scale),
+                          *(frozenset(parts[status]) for status in (BELOW, TIED, ABOVE)))
 
 
 def select_districts(

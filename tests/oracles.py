@@ -12,6 +12,7 @@ from itertools import combinations, product
 
 S1, S2, ABSTAIN = "s1", "s2", "abstain"
 REAL, DECOY = "real", "decoy"
+BELOW, TIED, ABOVE = "below", "tied", "above"
 
 # Transcribed price tables: menu -> slot -> status -> price function of
 # (v, eps, delta). Statuses: outright-selected, draw-selected, not selected.
@@ -35,12 +36,20 @@ def oracle_price(menu_tag, slot, status, v, eps, delta):
     raise ValueError(menu_tag)
 
 
+def oracle_partition(values, q):
+    """The threshold (the q-th smallest value, with multiplicity) and each
+    value's BELOW, TIED or ABOVE status against it."""
+    threshold = sorted(values)[q - 1]
+    return threshold, tuple(
+        BELOW if x < threshold else (TIED if x == threshold else ABOVE) for x in values
+    )
+
+
 def _classify(m, n_real, q):
-    ratios = [Fraction(mk, nk) for mk, nk in zip(m, n_real)]
-    threshold = sorted(ratios)[q - 1]
-    below = [k for k, r in enumerate(ratios) if r < threshold]
-    tied = [k for k, r in enumerate(ratios) if r == threshold]
-    return below, tied
+    """The outright (below) and tied districts of slot-one counts m."""
+    _, statuses = oracle_partition([Fraction(mk, nk) for mk, nk in zip(m, n_real)], q)
+    return ([k for k, st in enumerate(statuses) if st == BELOW],
+            [k for k, st in enumerate(statuses) if st == TIED])
 
 
 def _draws(below, tied, q):

@@ -414,3 +414,24 @@ def test_cli_commitment_refuses_a_bad_decoy_count_before_printing(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: --decoys-to-slot1 outside 0..total decoys" in captured.err
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["sequential"], dict(GOOD, q=2, delta=51),
+     "tie price 51 is below the required minimum 52"),
+    (["sequential"], dict(GOOD, menu="strong6"),
+     "sequential buying runs the weak four-price menu"),
+    (["sweep", "--param", "delta", "--from", "3", "--to", "40", "--steps", "2",
+      "--scan-cap", "10"], GOOD, "equilibrium scan needs 27 candidates"),
+    (["commitment", "--verify"],
+     dict(GOOD, districts=[{"real": 1000, "decoy": 1000}, {"real": 1, "decoy": 1}],
+          menu="commitment:2"),
+     "equilibrium scan needs 1004004 candidates"),
+    (["run"], dict(GOOD, menu="commitment:2"), "the commitment menu is districtless"),
+], ids=["sequential-below-floor", "sequential-strong6", "sweep-scan-cap",
+        "commitment-verify-scan-cap", "run-commitment-menu"])
+def test_cli_refuses_before_printing(tmp_path, capsys, argv, doc, message):
+    assert main(argv + ["--scenario", write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err

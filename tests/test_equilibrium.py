@@ -11,6 +11,7 @@ from devilsmenu import (
     ProfileError,
     ScanCapExceeded,
     budget_bound,
+    classify,
     deviation_payoff,
     enumerate_equilibria,
     expected_expenditure,
@@ -24,14 +25,13 @@ from devilsmenu.claims import family_for
 from devilsmenu.claims import run_claim
 from devilsmenu.equilibrium import (
     VoterClass,
-    _Ctx,
     _distinct_permutations,
     _pricing_tables,
     real_deviation_expenditures,
     single_deviation_profile,
 )
 from devilsmenu.mechanism import (
-    DECOY, REAL, S1, S2, TIED, ABSTAIN, CountProfile, interim_partition,
+    DECOY, REAL, S1, S2, ABSTAIN, CountProfile,
 )
 from oracles import oracle_expected_expenditure, oracle_expected_payoff, per_citizen_equilibria
 
@@ -323,14 +323,6 @@ def test_distinct_permutations_lists_each_ordering_once(items):
     assert list(_distinct_permutations(items)) == sorted(set(permutations(items)))
 
 
-def test_interim_rank_lookup_rejects_unreachable_counts():
-    ctx = _Ctx(sym(3, 2, 2, 1))
-    assert ctx.interim((4, 4, 4)) == ((TIED,) * 3, 0, 3)
-    for m in ((-1, 2, 2), (2, 5, 2), (2, 2), (2, 2, 2, 2)):
-        with pytest.raises(ProfileError):
-            ctx.interim(m)
-
-
 def test_interim_partition_rejects_q_outside_one_to_k():
     # Unchecked, q = 0 reads the largest ratio as the threshold (sigma-star
     # "unique", expected spend 14) and q = k + 1 indexes past the ratios.
@@ -341,7 +333,7 @@ def test_interim_partition_rejects_q_outside_one_to_k():
         with pytest.raises(ValueError, match="outside 1..3"):
             expected_expenditure(s, CountProfile.sigma_star(s))
         with pytest.raises(ValueError, match="outside 1..3"):
-            interim_partition([Fraction(1, 2)] * 3, q)
+            classify(s, CountProfile.sigma_star(s))
 
 
 def test_pricing_tables_are_keyed_by_every_pricing_field():

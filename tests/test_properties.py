@@ -23,16 +23,16 @@ from devilsmenu import (
     validate_scenario,
 )
 from devilsmenu.cli import _mc_batch
-from devilsmenu.equilibrium import VoterClass, _Ctx, _Threshold, enumerate_equilibria
+from devilsmenu.equilibrium import VoterClass, _Ctx, enumerate_equilibria
 from devilsmenu.mechanism import (
-    ABOVE, ABSTAIN, BELOW, DECOY, REAL, S1, S2, TIED, Classification, CountProfile,
-    interim_partition, payments_for_selection, tie_price_floor,
+    ABSTAIN, DECOY, REAL, S1, S2, Classification, CountProfile, Threshold,
+    payments_for_selection, tie_price_floor,
 )
 from devilsmenu.model import MAX_SEED
 from conftest import full_scan, replay_fair_draw
 from oracles import (
-    oracle_expected_expenditure, oracle_expected_payoff, oracle_expenditure_bound,
-    per_citizen_equilibria,
+    ABOVE, BELOW, TIED, oracle_expected_expenditure, oracle_expected_payoff,
+    oracle_expenditure_bound, oracle_partition, per_citizen_equilibria,
 )
 
 MENUS = (MenuVariant.WEAK4, MenuVariant.STRONG4, MenuVariant.STRONG6)
@@ -248,16 +248,28 @@ def test_orbit_scan_equals_full_scan(sf):
 
 
 @given(
-    st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=2, max_size=4)
+    .filter(lambda districts: len({r for r, _ in districts}) > 1),
     st.data(),
 )
 @settings(max_examples=40, deadline=None)
-def test_rank_keyed_interim_equals_ratio_partition(districts, data):
+def test_classify_equals_oracle_partition(districts, data):
+    # Unequal real counts, so the lcm keying of the slot-one ratios is
+    # exercised. Every slot-one vector is reached, real voters first.
     q = data.draw(st.integers(1, len(districts)))
-    ctx = _Ctx(make_scenario(districts, 100, 1, 36, q))
+    s = make_scenario(districts, 100, 1, 36, q)
     for m in product(*(range(r + d + 1) for r, d in districts)):
-        _, statuses = interim_partition([Fraction(mk, r) for mk, (r, _) in zip(m, districts)], q)
-        assert ctx.interim(m) == (statuses, statuses.count(BELOW), statuses.count(TIED))
+        p = CountProfile.from_counts(
+            (min(mk, r), r - min(mk, r), 0, mk - min(mk, r), d - mk + min(mk, r), 0)
+            for mk, (r, d) in zip(m, districts))
+        ratios = tuple(Fraction(mk, r) for mk, (r, _) in zip(m, districts))
+        threshold, statuses = oracle_partition(ratios, q)
+        cl = classify(s, p)
+        assert all(type(x) is Fraction for x in (*cl.ratios, cl.threshold))
+        assert (cl.ratios, cl.threshold) == (ratios, threshold)
+        assert (cl.below, cl.tied, cl.above) == tuple(
+            frozenset(k for k, got in enumerate(statuses) if got == which)
+            for which in (BELOW, TIED, ABOVE))
 
 
 @given(
@@ -277,7 +289,7 @@ def test_strong6_tied_expected_spend_matches_oracle(districts, data):
                for r, d in districts]
     drawn = 0
     for counts in product(*options):
-        _, statuses = interim_partition(
+        _, statuses = oracle_partition(
             [Fraction(c[0] + c[3], r) for c, (r, _) in zip(counts, districts)], q)
         if q - statuses.count(BELOW) < statuses.count(TIED):
             drawn += 1
@@ -291,15 +303,15 @@ STATUS_CODE = {BELOW: 0, TIED: 1, ABOVE: 2}
 
 def check_summary_moves(districts, q) -> set:
     """Check the threshold summary of every reachable slot-one vector, and
-    the status, c and t it gives each +-1 move, against interim_partition of
+    the status, c and t it gives each +-1 move, against the oracle partition of
     the vector and of the moved vector. Return the edge cases met."""
     k = len(districts)
     steps = _Ctx(make_scenario(districts, 100, 1, 36, q)).steps
     seen = set()
     for m in product(*(range(r + d + 1) for r, d in districts)):
         keys = [mk * step for mk, step in zip(m, steps)]
-        summary = _Threshold(keys, q)
-        tau, statuses = interim_partition(keys, q)
+        summary = Threshold(keys, q)
+        tau, statuses = oracle_partition(keys, q)
         assert (summary.tau, summary.c, summary.t) == \
             (tau, statuses.count(BELOW), statuses.count(TIED))
         assert [summary.status(x) for x in keys] == [STATUS_CODE[st] for st in statuses]
@@ -308,7 +320,7 @@ def check_summary_moves(districts, q) -> set:
                 if not 0 <= m[j] + dm <= r + d:
                     continue
                 x, y = keys[j], keys[j] + dm * steps[j]
-                tau2, moved = interim_partition(keys[:j] + [y] + keys[j + 1:], q)
+                tau2, moved = oracle_partition(keys[:j] + [y] + keys[j + 1:], q)
                 want = (STATUS_CODE[moved[j]], moved.count(BELOW), moved.count(TIED))
                 assert summary.after(x, y) == want, (districts, q, m, j, dm)
                 seen |= {name for name, hit in (
