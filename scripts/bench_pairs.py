@@ -21,12 +21,15 @@ of the README's paired rule:
 
 Repeat --workload to run several; an existing --out file keeps its other
 workloads. Compare checkouts of the same benchmark code, for example two
-`git archive` copies.
+`git archive` copies: before any run it exits 2 if BENCHMARK.json or a file
+under perfbench/ differs between them by sha256 (run output in
+perfbench/out/ and bytecode caches aside).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -35,6 +38,26 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+SKIPPED = {"out", "__pycache__"}  # directories under perfbench/ that runs write
+
+
+def benchmark_files(checkout: Path) -> dict[str, str]:
+    """sha256 of BENCHMARK.json and of every file under perfbench/, by path
+    relative to checkout, leaving out run output and bytecode caches."""
+    bench = checkout / "perfbench"
+    paths = [checkout / "BENCHMARK.json"] + [
+        path for path in bench.rglob("*")
+        if path.is_file() and not SKIPPED & set(path.relative_to(bench).parts[:-1])]
+    return {path.relative_to(checkout).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in paths if path.is_file()}
+
+
+def differing_benchmark_files(parent: Path, change: Path) -> list[str]:
+    """The benchmark files that are missing from one checkout or differ."""
+    a, b = benchmark_files(parent), benchmark_files(change)
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -93,6 +116,9 @@ def main() -> None:
     ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
+    differ = differing_benchmark_files(args.parent, args.change)
+    if differ:
+        ap.error("the checkouts run different benchmark code: " + ", ".join(differ))
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     report.update(python=platform.python_version(), machine=platform.machine(),

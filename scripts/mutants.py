@@ -109,7 +109,7 @@ MUTANTS = [
            "if interim == BELOW:",
            (f"{T_MECH}::test_execute_prices_a_degenerate_draw_as_outright",)),
     Mutant("threshold clamp ignores y", MECHANISM,
-           "tau = lo if y < lo else (hi if y > hi else y)", "tau = lo if y < lo else hi",
+           "return lo if y < lo else (hi if y > hi else y)", "return lo if y < lo else hi",
            (f"{T_PROP}::test_threshold_summary_meets_its_edge_cases",
             f"{T_PROP}::test_threshold_summary_moves_equal_partition_of_moved_vector")),
     Mutant("threshold bound of a moving tied key ignores c", MECHANISM,
@@ -135,8 +135,8 @@ MUTANTS = [
            "found.append(tuple(flat[i] for i in place))", "found.append(flat)",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
     Mutant("expansion with unreversed rows", EQUILIBRIUM,
-           "rows = [tuple(option[2] for option in reversed(orbit)) for orbit in rep]",
-           "rows = [tuple(option[2] for option in orbit) for orbit in rep]",
+           "rows = [tuple(option[1] for option in reversed(orbit_options))",
+           "rows = [tuple(option[1] for option in orbit_options)",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
     Mutant("deviation payoff without the occupied-class refusal", EQUILIBRIUM,
            "if counts[who.district][idx] == 0:", "if False:",
@@ -151,6 +151,20 @@ MUTANTS = [
            "INTERIM_BY_CODE = (BELOW, TIED, ABOVE)", "INTERIM_BY_CODE = (BELOW, ABOVE, TIED)",
            (f"{T_PROP}::test_classify_equals_oracle_partition",
             f"{T_PROP}::test_expected_payoff_matches_draw_enumeration")),
+    Mutant("lone-defector spend prices the unmoved districts at the mover's status", EQUILIBRIUM,
+           "rest = rows[0 if scale < tau else (1 if scale == tau else 2)]", "rest = rows[st]",
+           (f"{T_EQ}::test_lone_deviation_spends_match_oracle_on_small_family",
+            f"{T_PROP}::test_lone_deviation_spends_match_oracle")),
+    Mutant("bound denominator taken from delta alone", MECHANISM,
+           "den = lcm(*(x.denominator for x in prices))", "den = s.delta.denominator",
+           (f"{T_PROP}::test_budget_bound_matches_subset_oracle_on_fractional_prices",)),
+    Mutant("gap check strict at the floor", EQUILIBRIUM,
+           "return s.delta >= floor", "return s.delta > floor",
+           (f"{T_EQ}::test_tie_payoff_gap_holds_on_family_members",
+            f"{T_PROP}::test_tie_payoff_gap_matches_its_term_by_term_oracle")),
+    Mutant("a missing verdict read as no gain", EQUILIBRIUM,
+           "                got = gains(key)\n", "                got = False\n",
+           (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
     Mutant("an assert in model.py", "src/devilsmenu/model.py",
            "    out: list[str] = []\n", "    out: list[str] = []\n    assert s.districts\n",
            ("tests/test_source.py::test_src_has_no_assert_statements",)),

@@ -86,14 +86,15 @@ class _PricingTables:
     c, t, status code after, c after, t after, move id), and expected
     per-voter spends by (c, t). None of them depends on the districts.
     Every verdict comes from an exact Fraction comparison; the tables only
-    remember results.
+    remember results: the Nash check reads a verdict from verdicts and
+    calls gains only when it is missing.
     """
 
     def __init__(self, menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
                  delta: Fraction):
         self.q, self.v = q, v
         self.prices = price_table(menu, v, epsilon, delta)
-        self._verdicts: dict[tuple[int, ...], bool] = {}
+        self.verdicts: dict[tuple[int, ...], bool] = {}
         self._spend: dict[tuple[int, int], tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
     def payoff(self, status: str, c: int, t: int, voter_type: str, action: str) -> Fraction:
@@ -105,14 +106,12 @@ class _PricingTables:
 
     def gains(self, key: tuple[int, ...]) -> bool:
         """Whether move key[6] strictly pays when it takes the mover's
-        district from (status code, c, t) key[:3] to key[3:6]."""
-        got = self._verdicts.get(key)
-        if got is None:
-            st, c, t, st2, c2, t2, mv = key
-            _, voter_type, action, alt, _ = _MOVES[mv]
-            got = (self.payoff(INTERIM_BY_CODE[st2], c2, t2, voter_type, alt)
-                   > self.payoff(INTERIM_BY_CODE[st], c, t, voter_type, action))
-            self._verdicts[key] = got
+        district from (status code, c, t) key[:3] to key[3:6]; the verdict
+        is computed and recorded in verdicts."""
+        st, c, t, st2, c2, t2, mv = key
+        _, voter_type, action, alt, _ = _MOVES[mv]
+        got = self.verdicts[key] = (self.payoff(INTERIM_BY_CODE[st2], c2, t2, voter_type, alt)
+                                    > self.payoff(INTERIM_BY_CODE[st], c, t, voter_type, action))
         return got
 
     def spend(self, c: int, t: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -148,7 +147,7 @@ class _Ctx:
     delta.
 
     Slot-one counts are keyed as classify keys them: district k's m is
-    m * (L / real_k), with L the lcm of the real counts.
+    m * (L / real_k), with L (scale) the lcm of the real counts.
     """
 
     def __init__(self, s: Scenario):
@@ -156,7 +155,7 @@ class _Ctx:
         self.n_real = tuple(d.real_count for d in s.districts)
         self.n_decoy = tuple(d.decoy_count for d in s.districts)
         self.tables = _pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
-        scale = lcm(*self.n_real)
+        self.scale = scale = lcm(*self.n_real)
         self.steps = tuple(scale // n for n in self.n_real)
 
     def keys(self, counts) -> list[int]:
@@ -202,22 +201,28 @@ def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: 
 
 def _compiled(ctx: _Ctx, k: int, row: tuple, moves: tuple) -> tuple:
     """A counts row of district k as the Nash check reads it: (its slot-one
-    key x, (move id, key y after the move) per move of an occupied class,
-    the row)."""
+    key x, its option), the option being ((move id, key y after the move)
+    per move of an occupied class, the row)."""
     step = ctx.steps[k]
     x = (row[0] + row[3]) * step
-    return x, tuple((mv, x + dm * step) for mv, idx, dm in moves if row[idx]), row
+    return x, (tuple((mv, x + dm * step) for mv, idx, dm in moves if row[idx]), row)
 
 
-def _is_nash_counts(tables: _PricingTables, compiled: tuple) -> bool:
-    """The Nash check of one profile, given as a compiled option per
-    district. The verdict does not depend on the order of the districts."""
-    summary = Threshold([x for x, _, _ in compiled], tables.q)
-    c, t, after, gains = summary.c, summary.t, summary.after, tables.gains
-    for x, moves, _ in compiled:
-        st = summary.status(x)
+def _is_nash_counts(tables: _PricingTables, options: tuple, keys: tuple) -> bool:
+    """The Nash check of one profile, given as a compiled option and a
+    slot-one key per district. The verdict does not depend on the order of
+    the districts."""
+    summary = Threshold(keys, tables.q)
+    c, t, status, after = summary.c, summary.t, summary.status, summary.after
+    verdict, gains = tables.verdicts.get, tables.gains
+    for x, (moves, _) in zip(keys, options):
+        st = status(x)
         for mv, y in moves:
-            if gains((st, c, t, *after(x, y), mv) if y != x else (st, c, t, st, c, t, mv)):
+            key = (st, c, t, *after(x, y), mv) if y != x else (st, c, t, st, c, t, mv)
+            got = verdict(key)
+            if got is None:
+                got = gains(key)
+            if got:
                 return False
     return True
 
@@ -236,8 +241,8 @@ def is_nash(s: Scenario, p: CountProfile, filter_dominated: bool = True) -> bool
     if filter_dominated and any(cnt[1] or cnt[2] or cnt[5] for cnt in counts):
         return False  # off the dominance screen, so not a profile of the filtered game
     moves = _FILTERED_MOVES if filter_dominated else _ALL_MOVES
-    return _is_nash_counts(ctx.tables, tuple(_compiled(ctx, k, row, moves)
-                                             for k, row in enumerate(counts)))
+    keys, options = zip(*(_compiled(ctx, k, row, moves) for k, row in enumerate(counts)))
+    return _is_nash_counts(ctx.tables, options, keys)
 
 
 def _compositions3(n: int) -> list[tuple[int, int, int]]:
@@ -281,6 +286,10 @@ def _orbit_scan(ctx: _Ctx, filtered: bool) -> tuple[list, int]:
     per multiset of its choices is checked in group order, and only
     equilibria are expanded to every distinct arrangement and put back in
     district order.
+
+    Each orbit element is compiled once as (options, keys), so a
+    representative is the concatenation of its head part, joined once per
+    element of the last orbit, and that orbit's element.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for k, key in enumerate(zip(ctx.n_real, ctx.n_decoy)):
@@ -292,19 +301,27 @@ def _orbit_scan(ctx: _Ctx, filtered: bool) -> tuple[list, int]:
     # representative starts with the split with the most voters on slot
     # one, whose moves reject the most candidates of the filtered game.
     # The verdict does not depend on the order.
-    orbits = [list(combinations_with_replacement(
-                  [_compiled(ctx, ks[0], row, moves) for row in reversed(_splits(r, d, filtered))],
-                  len(ks)))
-              for (r, d), ks in groups.items()]
+    orbits = []
+    for (r, d), ks in groups.items():
+        compiled = [_compiled(ctx, ks[0], row, moves) for row in reversed(_splits(r, d, filtered))]
+        orbits.append([(tuple(option for _, option in combo), tuple(x for x, _ in combo))
+                       for combo in combinations_with_replacement(compiled, len(ks))])
     tables = ctx.tables
     found = []
-    for rep in product(*orbits):
-        if _is_nash_counts(tables, tuple(chain.from_iterable(rep))):
-            # The arrangements need each orbit's rows in ascending order.
-            rows = [tuple(option[2] for option in reversed(orbit)) for orbit in rep]
-            for arrangement in product(*map(_distinct_permutations, rows)):
-                flat = tuple(chain.from_iterable(arrangement))
-                found.append(tuple(flat[i] for i in place))
+    *head, last = orbits
+    for part in product(*head):
+        head_options = head_keys = ()
+        for options, keys in part:
+            head_options += options
+            head_keys += keys
+        for element in last:
+            if _is_nash_counts(tables, head_options + element[0], head_keys + element[1]):
+                # The arrangements need each orbit's rows in ascending order.
+                rows = [tuple(option[1] for option in reversed(orbit_options))
+                        for orbit_options, _ in (*part, element)]
+                for arrangement in product(*map(_distinct_permutations, rows)):
+                    flat = tuple(chain.from_iterable(arrangement))
+                    found.append(tuple(flat[i] for i in place))
     found.sort()
     return found, prod(map(len, orbits))
 
@@ -356,10 +373,8 @@ def expected_expenditure(s: Scenario, p: CountProfile) -> Fraction:
     spend over the status odds; no draw is enumerated.
     """
     p.check_against(s)
-    return _expected_spend(_Ctx(s), p.as_counts())
-
-
-def _expected_spend(ctx: _Ctx, counts) -> Fraction:
+    ctx = _Ctx(s)
+    counts = p.as_counts()
     keys = ctx.keys(counts)
     summary = Threshold(keys, ctx.tables.q)
     d, rows = ctx.tables.spend(summary.c, summary.t)
@@ -419,15 +434,29 @@ def real_deviation_expenditures(s: Scenario) -> dict[int, Fraction]:
 
 def _lone_deviation_spends(s: Scenario, voter_type: str, new_action: str) -> dict[int, Fraction]:
     """Expected spend, per district k with a voter_type voter, after one of them
-    leaves sigma-star for new_action."""
+    leaves sigma-star for new_action.
+
+    Every sigma-star key is L, the lcm of the real counts, so one threshold
+    summary serves every mover: the mover's (status, c, t) is after(L, y),
+    and every other district keeps key L, so all of them share one status
+    against the moved threshold. Each spend is then three integer terms over
+    the one denominator of its (c, t).
+    """
     ctx = _Ctx(s)
-    sizes = ctx.n_real if voter_type == REAL else ctx.n_decoy
-    rows = [(r, 0, 0, 0, d, 0) for r, d in zip(ctx.n_real, ctx.n_decoy)]
+    scale = ctx.scale
+    summary = Threshold([scale] * len(ctx.steps), ctx.tables.q)
+    total_real, total_decoy = sum(ctx.n_real), sum(ctx.n_decoy)
     spends = {}
-    for k, n in enumerate(sizes):
-        if n:
-            moved = rows[:k] + [_moved_row(rows[k], k, voter_type, new_action)] + rows[k + 1:]
-            spends[k] = _expected_spend(ctx, moved)
+    for k, (r, d, step) in enumerate(zip(ctx.n_real, ctx.n_decoy, ctx.steps)):
+        if r if voter_type == REAL else d:
+            moved = _moved_row((r, 0, 0, 0, d, 0), k, voter_type, new_action)
+            y = (moved[0] + moved[3]) * step
+            st, c, t = summary.after(scale, y)
+            tau = summary.moved_tau(scale, y)
+            den, rows = ctx.tables.spend(c, t)
+            rest = rows[0 if scale < tau else (1 if scale == tau else 2)]
+            spends[k] = Fraction((total_real - r) * rest[0] + (total_decoy - d) * rest[4]
+                                 + sum(map(mul, moved, rows[st])), den)
     return spends
 
 
@@ -439,13 +468,8 @@ def tie_payoff_gap_holds(s: Scenario) -> bool:
     tie-set gamble (q-c)/(k-c) * V + eps must stay at or below that floor
     less eps, which must be strictly below delta. Exact arithmetic.
     """
-    k, q = s.num_districts, s.target_count
-    v, eps, delta = s.real_value, s.epsilon, s.delta
-    floor = tie_price_floor(MenuVariant.WEAK4, k, q, v, eps)
-    if delta < floor:
-        return False
-    for c in range(q):
-        gamble = Fraction(q - c, k - c) * v + eps
-        if not (gamble <= floor - eps < delta):
-            return False
-    return True
+    # For a valid scenario (V > 0, eps > 0, 0 <= c < q <= k), k(q - c) <= q(k - c)
+    # gives gamble <= floor - eps, and floor - eps < floor, so only delta >= floor is left.
+    floor = tie_price_floor(MenuVariant.WEAK4, s.num_districts, s.target_count,
+                            s.real_value, s.epsilon)
+    return s.delta >= floor

@@ -178,14 +178,14 @@ class Threshold:
     none. It is the one place where districts are sorted into below, tied
     and above.
 
-    When x moves to y, the new threshold is clamp(y, lo, hi), and the new
-    c and t are read off the sorted keys, corrected for x and y. So the
-    moved vector is never partitioned.
+    When x moves to y, the new threshold is clamp(y, lo, hi) (moved_tau),
+    and the new c and t are read off the sorted keys, corrected for x and
+    y. So the moved vector is never partitioned.
     """
 
     __slots__ = ("ranked", "tau", "c", "t", "bounds")
 
-    def __init__(self, keys: list[int], q: int):
+    def __init__(self, keys: Iterable[int], q: int):
         self.ranked = ranked = sorted(keys)
         self.tau = tau = ranked[q - 1]
         self.c = c = bisect_left(ranked, tau)
@@ -201,10 +201,14 @@ class Threshold:
         tau = self.tau
         return 0 if x < tau else (1 if x == tau else 2)
 
+    def moved_tau(self, x: int, y: int) -> int:
+        """The threshold once one key x moves to y."""
+        lo, hi = self.bounds[self.status(x)]
+        return lo if y < lo else (hi if y > hi else y)
+
     def after(self, x: int, y: int) -> tuple[int, int, int]:
         """(status code of the mover, c, t) once one key x moves to y."""
-        lo, hi = self.bounds[self.status(x)]
-        tau = lo if y < lo else (hi if y > hi else y)
+        tau = self.moved_tau(x, y)
         ranked = self.ranked
         lt = bisect_left(ranked, tau)
         return ((0 if y < tau else (1 if y == tau else 2)),
@@ -458,13 +462,17 @@ def budget_bound(s: Scenario) -> Fraction:
     2*eps, and a district inside the subset adds (V + eps)*r + (delta - 2*eps)*d
     on top of that whatever else is inside. Real and decoy counts carry
     different weights, so the largest districts need not attain the maximum,
-    but the q largest of these combined weights do, exactly.
+    but the q largest of these combined weights do, exactly. The sum is
+    taken on integer numerators over the lcm of the V, eps and delta
+    denominators.
     """
     if s.menu.tag != "weak4":
         raise ValueError("the expenditure bound with a delta term is for the weak four-price menu")
-    v, eps, delta = s.real_value, s.epsilon, s.delta
+    prices = (s.real_value, s.epsilon, s.delta)
+    den = lcm(*(x.denominator for x in prices))
+    v, eps, delta = (x.numerator * (den // x.denominator) for x in prices)
     extra = ((v + eps) * d.real_count + (delta - 2 * eps) * d.decoy_count for d in s.districts)
-    return 2 * eps * s.total_decoy + top_q_sum(extra, s.target_count)
+    return Fraction(2 * eps * s.total_decoy + top_q_sum(extra, s.target_count), den)
 
 
 def _pinned_decoy_bound(s: Scenario, decoy_price: Fraction) -> Fraction:

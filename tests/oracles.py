@@ -212,3 +212,20 @@ def _to_counts(scenario, voters, actions):
     for (k, voter_type), action in zip(voters, actions):
         rows[k][slot_index[(voter_type, action)]] += 1
     return tuple(tuple(r) for r in rows)
+
+
+def oracle_tie_payoff_gap(scenario):
+    """The weak four-price uniqueness margin, term by term: delta reaches
+    (q/k) V + 2 eps, and for every count c of outright-selected districts
+    below q the best tie-set gamble (q-c)/(k-c) V + eps stays at or below
+    that floor less eps, which stays strictly below delta."""
+    k, q = scenario.num_districts, scenario.target_count
+    v, eps, delta = scenario.real_value, scenario.epsilon, scenario.delta
+    floor = Fraction(q, k) * v + 2 * eps
+    if delta < floor:
+        return False
+    for c in range(q):
+        gamble = Fraction(q - c, k - c) * v + eps
+        if not (gamble <= floor - eps < delta):
+            return False
+    return True

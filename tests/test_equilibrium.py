@@ -21,8 +21,7 @@ from devilsmenu import (
     tie_payoff_gap_holds,
     verify_sabotage_bound,
 )
-from devilsmenu.claims import family_for
-from devilsmenu.claims import run_claim
+from devilsmenu.claims import check_instance, family_for, run_claim
 from devilsmenu.equilibrium import (
     VoterClass,
     _distinct_permutations,
@@ -423,6 +422,21 @@ def test_lone_deviation_spends_match_oracle_on_small_family():
 def test_sabotage_bound_near_full_target():
     s = sym(3, 2, 2, 2, delta=Fraction(70))  # q = k-1
     assert verify_sabotage_bound(s).holds
+
+
+def test_sabotage_bound_fails_at_q_equal_k_by_v_plus_eps_less_delta():
+    # With q = k every district is selected outright at sigma-star. A decoy
+    # defector's district ties alone above the rest and is still selected
+    # outright, so the defector is paid V + eps where the bound prices a
+    # decoy at delta. This is why the sabotage family keeps q < k.
+    s = make_scenario([(2, 0), (1, 2), (3, 1)], V, EPS, 90, 3)
+    report = verify_sabotage_bound(s)
+    assert report.per_district == {1: 887, 2: 887}
+    assert report.bound == 876
+    assert report.worst - report.bound == V + EPS - s.delta
+    assert not report.holds
+    result = check_instance("sabotage-bound", s)
+    assert not result.passed and result.detail == "worst_expenditure=887 bound=876"
 
 
 def test_real_deviation_reported_without_claim():

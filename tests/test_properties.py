@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from devilsmenu import (
     MenuVariant,
@@ -19,11 +19,16 @@ from devilsmenu import (
     make_scenario,
     strong4_expenditure_bound,
     strong6_expenditure_bound,
+    tie_payoff_gap_holds,
     validate_budget,
     validate_scenario,
+    verify_sabotage_bound,
 )
 from devilsmenu.cli import _mc_batch
-from devilsmenu.equilibrium import VoterClass, _Ctx, enumerate_equilibria
+from devilsmenu.equilibrium import (
+    VoterClass, _Ctx, enumerate_equilibria, real_deviation_expenditures,
+    single_deviation_profile,
+)
 from devilsmenu.mechanism import (
     ABSTAIN, DECOY, REAL, S1, S2, Classification, CountProfile, Threshold,
     payments_for_selection, tie_price_floor,
@@ -32,7 +37,7 @@ from devilsmenu.model import MAX_SEED
 from conftest import full_scan, replay_fair_draw
 from oracles import (
     ABOVE, BELOW, TIED, oracle_expected_expenditure, oracle_expected_payoff,
-    oracle_expenditure_bound, oracle_partition, per_citizen_equilibria,
+    oracle_expenditure_bound, oracle_partition, oracle_tie_payoff_gap, per_citizen_equilibria,
 )
 
 MENUS = (MenuVariant.WEAK4, MenuVariant.STRONG4, MenuVariant.STRONG6)
@@ -219,6 +224,80 @@ def test_budget_check_monotone_and_exhaustive(districts, q, budget):
     richer = make_scenario(districts, 100, 1, 36, q, budget=budget + 1)
     if validate_budget(s):
         assert validate_budget(richer)
+
+
+@st.composite
+def fractional_scenarios(draw, max_real, max_k):
+    """A weak four-price scenario of 1 to max_k districts, some possibly with
+    no decoy, q from 1 to k, and V, eps and delta with denominators up to 9,
+    delta anywhere from eps to V."""
+    districts = draw(st.lists(st.tuples(st.integers(1, max_real), st.integers(0, 3)),
+                              min_size=1, max_size=max_k))
+    q = draw(st.integers(1, len(districts)))
+    v = draw(st.fractions(min_value=10, max_value=200, max_denominator=9))
+    eps = draw(st.fractions(min_value=Fraction(1, 9), max_value=5, max_denominator=9))
+    delta = draw(st.fractions(min_value=eps, max_value=v, max_denominator=9))
+    return make_scenario(districts, v, eps, delta, q)
+
+
+@given(fractional_scenarios(max_real=4, max_k=5))
+@example(make_scenario([(2, 0), (1, 2), (3, 1)], Fraction(201, 2), Fraction(1, 3),
+                       Fraction(90, 7), 3))
+@settings(max_examples=80, deadline=None)
+def test_budget_bound_matches_subset_oracle_on_fractional_prices(s):
+    # The bound's integer numerators share the lcm of all three price
+    # denominators.
+    assert budget_bound(s) == oracle_expenditure_bound(s, s.delta, 2 * s.epsilon)
+
+
+@given(fractional_scenarios(max_real=3, max_k=4))
+@example(make_scenario([(1, 2)], Fraction(201, 2), Fraction(1, 3), Fraction(90, 7), 1))
+@example(make_scenario([(2, 0), (1, 2), (3, 1)], 100, 1, 90, 3))
+@settings(max_examples=80, deadline=None)
+def test_lone_deviation_spends_match_oracle(s):
+    # Both voter types; k = 1, q = k and districts with no decoy (where no
+    # decoy can defect) included.
+    report = verify_sabotage_bound(s)
+    for voter_type, new_action, got in ((DECOY, S1, report.per_district),
+                                        (REAL, S2, real_deviation_expenditures(s))):
+        movers = {k for k, d in enumerate(s.districts)
+                  if (d.real_count if voter_type == REAL else d.decoy_count)}
+        assert set(got) == movers
+        for k, spend in got.items():
+            counts = single_deviation_profile(s, k, voter_type, new_action).as_counts()
+            assert spend == oracle_expected_expenditure(s, counts), (k, voter_type)
+    assert report.worst == max(report.per_district.values(), default=None)
+    assert report.holds == all(x <= report.bound for x in report.per_district.values())
+
+
+@st.composite
+def gap_scenarios(draw):
+    """A valid weak four-price scenario with fractional V, eps and delta, q
+    from 1 to k, and delta below, at or above the floor (q/k) V + 2 eps."""
+    k = draw(st.integers(2, 5))
+    q = draw(st.integers(1, k))
+    v = draw(st.fractions(min_value=10, max_value=200, max_denominator=9))
+    eps = draw(st.fractions(min_value=Fraction(1, 9), max_value=Fraction(1, 2), max_denominator=9))
+    floor, top = Fraction(q, k) * v + 2 * eps, v - eps  # valid: 2 eps < delta <= top
+    side = draw(st.sampled_from(("below", "at", "above") if floor <= top else ("below",)))
+    share = draw(st.fractions(min_value=0, max_value=1, max_denominator=9))
+    if side == "below":
+        delta = 2 * eps + share * (min(floor, top) - 2 * eps)
+        assume(2 * eps < delta < floor)
+    else:
+        delta = floor + (share * (top - floor) if side == "above" else 0)
+    districts = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                              min_size=k, max_size=k))
+    s = make_scenario(districts, v, eps, delta, q)
+    assume(validate_scenario(s) == [])
+    return s, side
+
+
+@given(gap_scenarios())
+@settings(max_examples=100, deadline=None)
+def test_tie_payoff_gap_matches_its_term_by_term_oracle(ss):
+    s, side = ss
+    assert tie_payoff_gap_holds(s) == oracle_tie_payoff_gap(s) == (side != "below")
 
 
 @st.composite
