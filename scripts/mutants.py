@@ -58,6 +58,11 @@ COMMITMENT_HEADER = '    _print_scenario_header(s, "commitment", seed)\n'
 COMMITMENT_VERIFY = "        report = verify_commitment_equilibrium(game, s.total_decoy)\n"
 SEQUENTIAL_RUN = "    outcomes = run_sequential(s, random.Random(seed))\n"
 SEQUENTIAL_HEADER = '    _print_scenario_header(s, "sequential", seed)\n'
+STATUS_ODDS_CODES = """\
+    if interim == 0 or (interim == {tied} and q - c == t):
+        return ((SELECTED_OUTRIGHT, Fraction(1)),)
+    if interim == {above}:
+"""
 
 MUTANTS = [
     Mutant("family floors numbered from q = 0", CLAIMS,
@@ -105,8 +110,8 @@ MUTANTS = [
            "counts[items[j]] += 1", "counts[items[r]] += 1",
            (f"{T_MECH}::test_fair_draw_counts_tallies_fair_draw",)),
     Mutant("degenerate draw priced as drawn", MECHANISM,
-           "if interim == BELOW or (interim == TIED and q - c == t):",
-           "if interim == BELOW:",
+           "if interim == 0 or (interim == 1 and q - c == t):",
+           "if interim == 0:",
            (f"{T_MECH}::test_execute_prices_a_degenerate_draw_as_outright",)),
     Mutant("threshold clamp ignores y", MECHANISM,
            "return lo if y < lo else (hi if y > hi else y)", "return lo if y < lo else hi",
@@ -142,13 +147,14 @@ MUTANTS = [
            "if counts[who.district][idx] == 0:", "if False:",
            (f"{T_EQ}::test_deviation_requires_occupied_class",)),
     Mutant("classify keys without the L / r step", MECHANISM,
-           "keys = [ac.slot1_applicants * (scale // d.real_count)", "keys = [ac.slot1_applicants",
+           "return scale, tuple(scale // d.real_count for d in s.districts)",
+           "return scale, (1,) * len(s.districts)",
            (f"{T_PROP}::test_classify_equals_oracle_partition",)),
     Mutant("classify threshold without / L", MECHANISM,
            "Fraction(summary.tau, scale)", "Fraction(summary.tau)",
            (f"{T_PROP}::test_classify_equals_oracle_partition",)),
-    Mutant("tied and above swapped in the status-code order", MECHANISM,
-           "INTERIM_BY_CODE = (BELOW, TIED, ABOVE)", "INTERIM_BY_CODE = (BELOW, ABOVE, TIED)",
+    Mutant("tied and above swapped where status_odds reads the code", MECHANISM,
+           STATUS_ODDS_CODES.format(tied=1, above=2), STATUS_ODDS_CODES.format(tied=2, above=1),
            (f"{T_PROP}::test_classify_equals_oracle_partition",
             f"{T_PROP}::test_expected_payoff_matches_draw_enumeration")),
     Mutant("lone-defector spend prices the unmoved districts at the mover's status", EQUILIBRIUM,
@@ -165,6 +171,10 @@ MUTANTS = [
     Mutant("a missing verdict read as no gain", EQUILIBRIUM,
            "                got = gains(key)\n", "                got = False\n",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
+    Mutant("verify checks a scenario of another menu", CLAIMS,
+           "if scenario.menu != menu:", "if False:",
+           (f"{T_CLI}[verify-strong6-on-weak4]", f"{T_CLI}[verify-strong4-on-weak4]",
+            f"{T_CLI}[verify-weak4-on-strong6]")),
     Mutant("an assert in model.py", "src/devilsmenu/model.py",
            "    out: list[str] = []\n", "    out: list[str] = []\n    assert s.districts\n",
            ("tests/test_source.py::test_src_has_no_assert_statements",)),

@@ -19,8 +19,6 @@ from .model import DistrictSpec, MenuVariant, Scenario
 V_DEFAULT = Fraction(100)
 EPS_DEFAULT = Fraction(1)
 
-CANONICAL = ("weak4-unique", "strong6-unique", "strong4-sigma-star",
-             "sabotage-bound", "sequential-spe")
 ALIASES = {
     "thm1": "weak4-unique",
     "thm2": "strong6-unique",
@@ -82,14 +80,12 @@ def menu_family(
                 yield Scenario(districts, V_DEFAULT, EPS_DEFAULT, delta, q, menu=menu)
 
 
-def sequential_family(
-    kbar_values: tuple[int, ...] = (2, 3),
-    counts: tuple[int, ...] = (1, 2),
-) -> Iterator[Scenario]:
-    """Symmetric-district instances for the sequential subgame check."""
-    for k in kbar_values:
+def sequential_family() -> Iterator[Scenario]:
+    """Symmetric-district instances for the sequential subgame check: 2 or 3
+    identical districts of 1 or 2 real and 1 or 2 decoy ballots, each q below k."""
+    for k in (2, 3):
         floors = _floors(MenuVariant.WEAK4, k, sequential=True)
-        for r, d in itertools.product(counts, counts):
+        for r, d in itertools.product((1, 2), (1, 2)):
             districts = (DistrictSpec(r, d),) * k
             for q, delta in floors:
                 yield Scenario(districts, V_DEFAULT, EPS_DEFAULT, delta, q)
@@ -142,34 +138,31 @@ def _check_sequential_spe(s: Scenario) -> ClaimResult:
     return ClaimResult(_label(s), ok, "all residual rounds unique" if ok else "a round failed")
 
 
-_CHECKS: dict[str, Callable[[Scenario], ClaimResult]] = {
-    "weak4-unique": _check_weak4_unique,
-    "strong6-unique": _check_strong6_unique,
-    "strong4-sigma-star": _check_strong4_sigma_star,
-    "sabotage-bound": _check_sabotage_bound,
-    "sequential-spe": _check_sequential_spe,
+# Each claim's menu, which its family and every scenario it checks run, and its check.
+_CLAIMS: dict[str, tuple[MenuVariant, Callable[[Scenario], ClaimResult]]] = {
+    "weak4-unique": (MenuVariant.WEAK4, _check_weak4_unique),
+    "strong6-unique": (MenuVariant.STRONG6, _check_strong6_unique),
+    "strong4-sigma-star": (MenuVariant.STRONG4, _check_strong4_sigma_star),
+    "sabotage-bound": (MenuVariant.WEAK4, _check_sabotage_bound),
+    "sequential-spe": (MenuVariant.WEAK4, _check_sequential_spe),
 }
+CANONICAL = tuple(_CLAIMS)
 
 _SMALL = dict(kbar_values=(2, 3), counts=(1, 2))
 
 
 def check_instance(claim: str, scenario: Scenario) -> ClaimResult:
     """Run one claim check on one scenario (no preconditions applied)."""
-    return _CHECKS[resolve_claim(claim)](scenario)
+    return _CLAIMS[resolve_claim(claim)][1](scenario)
 
 
 def family_for(claim: str, family: str) -> Iterator[Scenario]:
     if family not in ("small", "full"):
         raise ValueError(f"unknown family {family!r}; choose small or full")
     claim = resolve_claim(claim)
-    small = family == "small"
     if claim == "sequential-spe":
         return sequential_family()  # already desk scale
-    menu = {"weak4-unique": MenuVariant.WEAK4,
-            "strong6-unique": MenuVariant.STRONG6,
-            "strong4-sigma-star": MenuVariant.STRONG4,
-            "sabotage-bound": MenuVariant.WEAK4}[claim]
-    return menu_family(menu, **(_SMALL if small else {}))
+    return menu_family(_CLAIMS[claim][0], **(_SMALL if family == "small" else {}))
 
 
 def ordered_map(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
@@ -188,9 +181,14 @@ def run_claim(
     scenario: Optional[Scenario] = None,
     workers: int = 1,
 ) -> ClaimSuite:
-    """Run one claim over a family or a single scenario, on `workers` processes."""
+    """Run one claim over a family or a single scenario, on `workers` processes.
+    A scenario that does not run the claim's menu is refused."""
     claim = resolve_claim(claim)
     if scenario is not None:
+        menu = _CLAIMS[claim][0]
+        if scenario.menu != menu:
+            raise ValueError(f"claim {claim} is about the {menu.tag} menu, "
+                             f"but the scenario runs the {scenario.menu.tag} menu")
         if claim in ("weak4-unique", "strong6-unique"):
             # The uniqueness claims presume the tie price is at its minimum
             # or above; below that the check is vacuous, refuse upfront.

@@ -20,16 +20,16 @@ from typing import Iterator, Optional
 from .mechanism import (
     ABSTAIN,
     ACTIONS,
+    CLASS_SLOTS,
     DECOY,
-    INTERIM_BY_CODE,
     REAL,
     S1,
     S2,
     CountProfile,
     Threshold,
     budget_bound,
+    key_steps,
     price_table,
-    require_target_in_range,
     settle,
     status_odds,
     tie_price_floor,
@@ -61,16 +61,11 @@ class EquilibriumReport:
     candidates_checked: int
 
 
-_CLASS_SLOTS = {  # index of each (type, action) inside a counts tuple, in that order
-    (REAL, S1): 0, (REAL, S2): 1, (REAL, ABSTAIN): 2,
-    (DECOY, S1): 3, (DECOY, S2): 4, (DECOY, ABSTAIN): 5,
-}
-
 # Every unilateral move of an occupied class, its move id being its position:
 # (index in a counts tuple, type, action, alternative, change in the
 # district's slot-one count).
 _MOVES = tuple((idx, voter_type, action, alt, (alt == S1) - (action == S1))
-               for (voter_type, action), idx in _CLASS_SLOTS.items()
+               for (voter_type, action), idx in CLASS_SLOTS.items()
                for alt in ACTIONS if alt != action)
 # What the deviation loop reads of a move: (move id, index, slot-one change).
 # The filtered game keeps only undominated actions: nobody abstains and real
@@ -97,8 +92,8 @@ class _PricingTables:
         self.verdicts: dict[tuple[int, ...], bool] = {}
         self._spend: dict[tuple[int, int], tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
-    def payoff(self, status: str, c: int, t: int, voter_type: str, action: str) -> Fraction:
-        """Expected payoff of one voter given his district's interim status."""
+    def payoff(self, status: int, c: int, t: int, voter_type: str, action: str) -> Fraction:
+        """Expected payoff of one voter given his district's interim status code."""
         if action == ABSTAIN:
             return valuation(voter_type, self.v)
         return sum(prob * voter_payoff(voter_type, self.prices[(action, final)], self.v)
@@ -110,8 +105,8 @@ class _PricingTables:
         is computed and recorded in verdicts."""
         st, c, t, st2, c2, t2, mv = key
         _, voter_type, action, alt, _ = _MOVES[mv]
-        got = self.verdicts[key] = (self.payoff(INTERIM_BY_CODE[st2], c2, t2, voter_type, alt)
-                                    > self.payoff(INTERIM_BY_CODE[st], c, t, voter_type, action))
+        got = self.verdicts[key] = (self.payoff(st2, c2, t2, voter_type, alt)
+                                    > self.payoff(st, c, t, voter_type, action))
         return got
 
     def spend(self, c: int, t: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -125,8 +120,8 @@ class _PricingTables:
                 [Fraction(0) if action == ABSTAIN else
                  sum(prob * settle(voter_type, self.prices[(action, final)], 1, self.v).paid
                      for final, prob in status_odds(status, c, t, self.q))
-                 for voter_type, action in _CLASS_SLOTS]
-                for status in INTERIM_BY_CODE]
+                 for voter_type, action in CLASS_SLOTS]
+                for status in (0, 1, 2)]
             d = lcm(*(f.denominator for row in per_voter for f in row))
             got = d, tuple(tuple(f.numerator * (d // f.denominator) for f in row)
                            for row in per_voter)
@@ -146,17 +141,15 @@ class _Ctx:
     which are shared by every scenario with the same menu, q, V, eps and
     delta.
 
-    Slot-one counts are keyed as classify keys them: district k's m is
-    m * (L / real_k), with L (scale) the lcm of the real counts.
+    Slot-one counts are keyed as classify keys them, by key_steps: scale
+    is L and district k's m is m * steps[k].
     """
 
     def __init__(self, s: Scenario):
-        require_target_in_range(s.target_count, s.num_districts)
+        self.scale, self.steps = key_steps(s)
         self.n_real = tuple(d.real_count for d in s.districts)
         self.n_decoy = tuple(d.decoy_count for d in s.districts)
         self.tables = _pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
-        self.scale = scale = lcm(*self.n_real)
-        self.steps = tuple(scale // n for n in self.n_real)
 
     def keys(self, counts) -> list[int]:
         """The slot-one key of each district of counts, which must fit."""
@@ -165,8 +158,7 @@ class _Ctx:
 
 def _payoff_in(ctx: _Ctx, keys: list[int], k: int, voter_type: str, action: str) -> Fraction:
     summary = Threshold(keys, ctx.tables.q)
-    return ctx.tables.payoff(INTERIM_BY_CODE[summary.status(keys[k])], summary.c, summary.t,
-                             voter_type, action)
+    return ctx.tables.payoff(summary.status(keys[k]), summary.c, summary.t, voter_type, action)
 
 
 def expected_payoff(s: Scenario, p: CountProfile, who: VoterClass) -> Fraction:
@@ -188,7 +180,7 @@ def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: 
     """
     p.check_against(s)
     counts = p.as_counts()
-    idx = _CLASS_SLOTS[(who.voter_type, who.action)]
+    idx = CLASS_SLOTS[(who.voter_type, who.action)]
     if counts[who.district][idx] == 0:
         raise ProfileError(
             f"district {who.district} has no {who.voter_type} voter playing {who.action}"
@@ -267,18 +259,21 @@ def _distinct_permutations(items: tuple) -> Iterator[tuple]:
         a[i + 1:] = reversed(a[i + 1:])
 
 
-def _splits(r: int, d: int, filtered: bool) -> list[tuple]:
-    """The ascending counts rows a district of r real and d decoy ballots is
-    scanned over: the decoy splits over both slots with every real voter on
-    slot one, or, unfiltered, every three-action split of each type."""
+def _splits(r: int, d: int, filtered: bool) -> tuple[list[tuple], list[tuple]]:
+    """(real parts, decoy parts) of a district of r real and d decoy ballots:
+    its scanned counts rows, ascending, join each real part to each decoy
+    part, and are built only once the scan cap lets the scan run. Filtered,
+    real voters sit on slot one and decoys split over both slots;
+    unfiltered, each type splits over all three actions."""
     if filtered:
-        return [(r, 0, 0, d1, d - d1, 0) for d1 in range(d + 1)]
-    return [rc + dc for rc in _compositions3(r) for dc in _compositions3(d)]
+        return [(r, 0, 0)], [(d1, d - d1, 0) for d1 in range(d + 1)]
+    return _compositions3(r), _compositions3(d)
 
 
-def _orbit_scan(ctx: _Ctx, filtered: bool) -> tuple[list, int]:
+def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     """The equilibria among the product of every district's splits, sorted,
-    and the number of Nash checks run.
+    and the number of Nash checks run. groups holds, per group of identical
+    districts, (its districts, its real parts, its decoy parts).
 
     Districts with the same (real, decoy) counts have the same options and
     commute: permuting their choices permutes the statuses and keeps the
@@ -291,10 +286,7 @@ def _orbit_scan(ctx: _Ctx, filtered: bool) -> tuple[list, int]:
     representative is the concatenation of its head part, joined once per
     element of the last orbit, and that orbit's element.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, key in enumerate(zip(ctx.n_real, ctx.n_decoy)):
-        groups.setdefault(key, []).append(k)
-    order = [k for ks in groups.values() for k in ks]
+    order = [k for ks, _, _ in groups for k in ks]
     place = sorted(range(len(order)), key=order.__getitem__)  # district -> group-order position
     moves = _FILTERED_MOVES if filtered else _ALL_MOVES
     # Each group's options go in descending row order, so its part of a
@@ -302,8 +294,9 @@ def _orbit_scan(ctx: _Ctx, filtered: bool) -> tuple[list, int]:
     # one, whose moves reject the most candidates of the filtered game.
     # The verdict does not depend on the order.
     orbits = []
-    for (r, d), ks in groups.items():
-        compiled = [_compiled(ctx, ks[0], row, moves) for row in reversed(_splits(r, d, filtered))]
+    for ks, reals, decoys in groups:
+        compiled = [_compiled(ctx, ks[0], rc + dc, moves)
+                    for rc in reversed(reals) for dc in reversed(decoys)]
         orbits.append([(tuple(option for _, option in combo), tuple(x for x, _ in combo))
                        for combo in combinations_with_replacement(compiled, len(ks))])
     tables = ctx.tables
@@ -333,28 +326,24 @@ def enumerate_equilibria(
 ) -> EquilibriumReport:
     """Exhaustively scan symmetry-reduced profiles and collect the equilibria.
 
-    Filtered scan space: both slots per voter, per district (real+1)*(decoy+1)
-    count profiles. Profiles with any real voter on slot two fail the
-    dominance screen regardless of decoy placement, so they are rejected
-    wholesale and only the decoy splits, (decoy+1) candidates per district,
-    are candidates. The scan cap bounds the candidates; profiles_scanned
-    reports the full space. Unfiltered scan space: all three-action count
-    splits per type, every one a candidate. Either way one candidate per
-    orbit of identical districts runs the deviation checks, and
-    candidates_checked counts those.
+    The candidates are the product of every district's _splits, and the
+    scan cap bounds their number. Filtered, profiles_scanned also counts
+    the profiles with real voters on slot two, a factor real+1 per
+    district: they fail the dominance screen whatever the decoys do, so
+    they are rejected wholesale. Unfiltered, every profile is a candidate.
+    Either way one candidate per orbit of identical districts runs the
+    deviation checks, and candidates_checked counts those.
     """
     ctx = _Ctx(s)
-    if filter_dominated:
-        space = candidates = 1
-        for r, d in zip(ctx.n_real, ctx.n_decoy):
-            space *= (r + 1) * (d + 1)
-            candidates *= d + 1
-    else:
-        space = candidates = prod(len(_compositions3(r)) * len(_compositions3(d))
-                                  for r, d in zip(ctx.n_real, ctx.n_decoy))
+    by_counts: dict[tuple[int, int], list[int]] = {}
+    for k, key in enumerate(zip(ctx.n_real, ctx.n_decoy)):
+        by_counts.setdefault(key, []).append(k)
+    groups = [(ks, *_splits(r, d, filter_dominated)) for (r, d), ks in by_counts.items()]
+    candidates = prod((len(reals) * len(decoys)) ** len(ks) for ks, reals, decoys in groups)
     if candidates > scan_cap:
         raise ScanCapExceeded(candidates, scan_cap)
-    found, checked = _orbit_scan(ctx, filter_dominated)
+    found, checked = _orbit_scan(ctx, groups, filter_dominated)
+    space = candidates * prod(r + 1 for r in ctx.n_real) if filter_dominated else candidates
     present = CountProfile.sigma_star(s).as_counts() in found
     return EquilibriumReport(
         equilibria=tuple(CountProfile.from_counts(counts) for counts in found),
@@ -384,12 +373,12 @@ def expected_expenditure(s: Scenario, p: CountProfile) -> Fraction:
 
 def _moved_row(row: tuple, district: int, voter_type: str, new_action: str) -> tuple:
     """A sigma-star counts row with one voter_type voter moved to new_action."""
-    src = _CLASS_SLOTS[(voter_type, S1 if voter_type == REAL else S2)]
+    src = CLASS_SLOTS[(voter_type, S1 if voter_type == REAL else S2)]
     if not row[src]:
         raise ProfileError(f"district {district} has no {voter_type} voter to move")
     moved = list(row)
     moved[src] -= 1
-    moved[_CLASS_SLOTS[(voter_type, new_action)]] += 1
+    moved[CLASS_SLOTS[(voter_type, new_action)]] += 1
     return tuple(moved)
 
 

@@ -36,9 +36,6 @@ SLOTS = (S1, S2)
 REAL = "real"
 DECOY = "decoy"
 
-# Interim district status, from the slot-one ratios alone.
-BELOW, TIED, ABOVE = "below", "tied", "above"
-
 # Final district status. The six-price menu prices slot-two applicants of
 # outright-selected districts differently from draw-selected ones; the
 # four-price menus collapse the two selected statuses.
@@ -48,9 +45,18 @@ NOT_SELECTED = "not_selected"
 STATUSES = (SELECTED_OUTRIGHT, SELECTED_BY_DRAW, NOT_SELECTED)
 
 
+# The (type, action) class of each field of ActionCount, by its index in
+# the field order, which is also the layout of a counts tuple.
+CLASS_SLOTS = {
+    (REAL, S1): 0, (REAL, S2): 1, (REAL, ABSTAIN): 2,
+    (DECOY, S1): 3, (DECOY, S2): 4, (DECOY, ABSTAIN): 5,
+}
+
+
 @dataclass(frozen=True)
 class ActionCount:
-    """How many voters of each type in one district chose each action."""
+    """How many voters of each type in one district chose each action,
+    in the order of CLASS_SLOTS."""
 
     real_s1: int
     real_s2: int
@@ -72,7 +78,7 @@ class ActionCount:
         return self.real_s1 + self.decoy_s1
 
     def count(self, voter_type: str, action: str) -> int:
-        return getattr(self, f"{voter_type}_{action}")
+        return self.as_tuple()[CLASS_SLOTS[(voter_type, action)]]
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.real_s1, self.real_s2, self.real_abstain,
@@ -153,9 +159,10 @@ class Classification:
     def o(self) -> int:
         return len(self.above)
 
-    def interim(self, k: int) -> str:
-        """District k's interim status: BELOW, TIED or ABOVE."""
-        return BELOW if k in self.below else (TIED if k in self.tied else ABOVE)
+    def interim(self, k: int) -> int:
+        """District k's interim status code, as Threshold.status gives it:
+        0 below, 1 tied, 2 above."""
+        return 0 if k in self.below else (1 if k in self.tied else 2)
 
     def draw_size(self, q: int) -> int:
         """q - c, the tied districts the fair draw picks; it must lie in 0..t."""
@@ -163,11 +170,6 @@ class Classification:
         if not 0 <= need <= self.t:
             raise ValueError(f"inconsistent classification: c = {self.c}, t = {self.t}, q = {q}")
         return need
-
-
-# Interim status by code: a district's code is 0, 1 or 2 as its slot-one
-# key is below, at or above the threshold.
-INTERIM_BY_CODE = (BELOW, TIED, ABOVE)
 
 
 class Threshold:
@@ -216,30 +218,30 @@ class Threshold:
                 bisect_right(ranked, tau, lt) - lt - (x == tau) + (y == tau))
 
 
-def require_target_in_range(q: int, k: int) -> None:
-    if not 1 <= q <= k:
-        raise ValueError(f"target q = {q} is outside 1..{k}")
+def key_steps(s: Scenario) -> tuple[int, tuple[int, ...]]:
+    """(L, steps): L is the lcm of the real counts and steps[k] = L / real_k.
+
+    District k's m slot-one applicants are keyed m * steps[k], an integer
+    that orders and equates like the ratio m / real_k, and a key x is the
+    ratio x / L. Raises ValueError unless the target q lies in 1..k.
+    """
+    if not 1 <= s.target_count <= s.num_districts:
+        raise ValueError(f"target q = {s.target_count} is outside 1..{s.num_districts}")
+    scale = lcm(*(d.real_count for d in s.districts))
+    return scale, tuple(scale // d.real_count for d in s.districts)
 
 
 def classify(s: Scenario, p: CountProfile) -> Classification:
-    """Partition districts by their slot-one application ratio.
-
-    With L the lcm of the real counts, district k's ratio m / real_k is
-    keyed m * (L / real_k), an integer that orders and equates like the
-    ratio, and a key x is the ratio x / L.
-    """
+    """Partition districts by their slot-one application ratio, keyed by key_steps."""
     p.check_against(s)
-    require_target_in_range(s.target_count, s.num_districts)
-    scale = lcm(*(d.real_count for d in s.districts))
-    keys = [ac.slot1_applicants * (scale // d.real_count)
-            for ac, d in zip(p.per_district, s.districts)]
+    scale, steps = key_steps(s)
+    keys = [ac.slot1_applicants * step for ac, step in zip(p.per_district, steps)]
     summary = Threshold(keys, s.target_count)
-    parts: dict[str, list[int]] = {status: [] for status in INTERIM_BY_CODE}
+    parts: tuple[list[int], ...] = ([], [], [])
     for k, x in enumerate(keys):
-        parts[INTERIM_BY_CODE[summary.status(x)]].append(k)
+        parts[summary.status(x)].append(k)
     return Classification(tuple(Fraction(x, scale) for x in keys),
-                          Fraction(summary.tau, scale),
-                          *(frozenset(parts[status]) for status in (BELOW, TIED, ABOVE)))
+                          Fraction(summary.tau, scale), *map(frozenset, parts))
 
 
 def select_districts(
@@ -289,16 +291,17 @@ def fair_draw_counts(pool: list, need: int, seed: int, lo: int, hi: int,
             counts[items[j]] += 1
 
 
-def status_odds(interim: str, c: int, t: int, q: int) -> tuple[tuple[str, Fraction], ...]:
-    """Final statuses of a BELOW, TIED or ABOVE district and their odds over the fair draw.
+def status_odds(interim: int, c: int, t: int, q: int) -> tuple[tuple[str, Fraction], ...]:
+    """Final statuses of a district of interim status code 0 (below), 1
+    (tied) or 2 (above), and their odds over the fair draw.
 
     A tied district is drawn with odds (q - c) / t. When the draw is
     degenerate (q - c = t) its selection is certain at interim time, so it
     counts as selected outright. See the pricing note in the README.
     """
-    if interim == BELOW or (interim == TIED and q - c == t):
+    if interim == 0 or (interim == 1 and q - c == t):
         return ((SELECTED_OUTRIGHT, Fraction(1)),)
-    if interim == ABOVE:
+    if interim == 2:
         return ((NOT_SELECTED, Fraction(1)),)
     p_draw = Fraction(q - c, t)
     return ((SELECTED_BY_DRAW, p_draw), (NOT_SELECTED, 1 - p_draw))
@@ -432,16 +435,14 @@ def payments_for_selection(
     for k, ac in enumerate(p.per_district):
         got_real = 0
         status = district_status(k, cl, selected, s.target_count)
-        for voter_type in (REAL, DECOY):
-            for slot in SLOTS:
-                count = ac.count(voter_type, slot)
-                if not count:
-                    continue
-                pay = settle(voter_type, prices[(slot, status)], count, s.real_value)
-                prices_paid[(k, voter_type, slot)] = pay
-                expenditure += pay.paid
-                if voter_type == REAL and pay.sells:
-                    got_real += pay.count
+        for (voter_type, action), count in zip(CLASS_SLOTS, ac.as_tuple()):
+            if action == ABSTAIN or not count:
+                continue
+            pay = settle(voter_type, prices[(action, status)], count, s.real_value)
+            prices_paid[(k, voter_type, action)] = pay
+            expenditure += pay.paid
+            if voter_type == REAL and pay.sells:
+                got_real += pay.count
         acquired.append(got_real)
     return prices_paid, expenditure, tuple(acquired)
 

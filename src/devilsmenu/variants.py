@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .equilibrium import DEFAULT_SCAN_CAP, EquilibriumReport, enumerate_equilibria
+from .equilibrium import EquilibriumReport, enumerate_equilibria
 from .mechanism import (
     DECOY,
     REAL,
@@ -32,6 +32,8 @@ from .mechanism import (
     voter_payoff,
 )
 from .model import ProfileError, ScanCapExceeded, Scenario
+
+COMMITMENT_SCAN_CAP = 1_000_000  # (real + 1) * (decoy + 1) splits of a commitment scan
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ def run_sequential(s: Scenario, rng: random.Random) -> list[Outcome]:
     return [outcome for _, outcome in sequential_rounds(s, rng)]
 
 
-def verify_subgame_perfect(s: Scenario, scan_cap: int = DEFAULT_SCAN_CAP) -> bool:
+def verify_subgame_perfect(s: Scenario) -> bool:
     """Backward-induction check that every reachable round has a unique equilibrium.
 
     At round r any r-1 districts may already have been bought, so every
@@ -105,7 +107,7 @@ def verify_subgame_perfect(s: Scenario, scan_cap: int = DEFAULT_SCAN_CAP) -> boo
         for gone in itertools.combinations(indices, round_no - 1):
             remaining = [i for i in indices if i not in gone]
             residual = s.with_districts([s.districts[i] for i in remaining], target_count=1)
-            report = enumerate_equilibria(residual, filter_dominated=True, scan_cap=scan_cap)
+            report = enumerate_equilibria(residual, filter_dominated=True)
             if not report.sigma_star_unique:
                 return False
     return True
@@ -257,16 +259,16 @@ def verify_commitment_equilibrium(
     game: CommitmentGame,
     n_decoy: int,
     filter_dominated: bool = True,
-    scan_cap: int = 1_000_000,
 ) -> EquilibriumReport:
     """Scan all (real, decoy) slot splits and collect the equilibria.
 
     With dominance filtering, real voters sit on slot one (slot two is weakly
-    dominated for them) and profiles off that line are not candidates.
+    dominated for them) and profiles off that line are not candidates. The
+    scan is refused beyond COMMITMENT_SCAN_CAP splits.
     """
     space = (game.total_real + 1) * (n_decoy + 1)
-    if space > scan_cap:
-        raise ScanCapExceeded(space, scan_cap)
+    if space > COMMITMENT_SCAN_CAP:
+        raise ScanCapExceeded(space, COMMITMENT_SCAN_CAP)
     equilibria = []
     for real_s1 in range(game.total_real + 1):
         for decoy_s1 in range(n_decoy + 1):

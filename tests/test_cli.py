@@ -428,8 +428,15 @@ def test_cli_commitment_refuses_a_bad_decoy_count_before_printing(tmp_path, caps
           menu="commitment:2"),
      "equilibrium scan needs 1004004 candidates"),
     (["run"], dict(GOOD, menu="commitment:2"), "the commitment menu is districtless"),
+    (["verify", "--claim", "strong6-unique"], GOOD,
+     "claim strong6-unique is about the strong6 menu, but the scenario runs the weak4 menu"),
+    (["verify", "--claim", "strong4-sigma-star"], GOOD,
+     "claim strong4-sigma-star is about the strong4 menu, but the scenario runs the weak4 menu"),
+    (["verify", "--claim", "weak4-unique"], dict(GOOD, menu="strong6"),
+     "claim weak4-unique is about the weak4 menu, but the scenario runs the strong6 menu"),
 ], ids=["sequential-below-floor", "sequential-strong6", "sweep-scan-cap",
-        "commitment-verify-scan-cap", "run-commitment-menu"])
+        "commitment-verify-scan-cap", "run-commitment-menu", "verify-strong6-on-weak4",
+        "verify-strong4-on-weak4", "verify-weak4-on-strong6"])
 def test_cli_refuses_before_printing(tmp_path, capsys, argv, doc, message):
     assert main(argv + ["--scenario", write(tmp_path, doc)]) == 2
     captured = capsys.readouterr()

@@ -349,6 +349,8 @@ def test_classify_equals_oracle_partition(districts, data):
         assert (cl.below, cl.tied, cl.above) == tuple(
             frozenset(k for k, got in enumerate(statuses) if got == which)
             for which in (BELOW, TIED, ABOVE))
+        assert [cl.interim(k) for k in range(len(districts))] == [
+            STATUS_CODE[status] for status in statuses]
 
 
 @given(
