@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
-from math import lcm, prod
+from math import comb, lcm, prod
 from operator import mul
 from typing import Iterator, Optional
 
@@ -237,10 +237,6 @@ def is_nash(s: Scenario, p: CountProfile, filter_dominated: bool = True) -> bool
     return _is_nash_counts(ctx.tables, options, keys)
 
 
-def _compositions3(n: int) -> list[tuple[int, int, int]]:
-    return [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
-
-
 def _distinct_permutations(items: tuple) -> Iterator[tuple]:
     """Every distinct ordering of the ascending tuple items, once each, in
     lexicographic order (the next-permutation step)."""
@@ -259,15 +255,22 @@ def _distinct_permutations(items: tuple) -> Iterator[tuple]:
         a[i + 1:] = reversed(a[i + 1:])
 
 
-def _splits(r: int, d: int, filtered: bool) -> tuple[list[tuple], list[tuple]]:
-    """(real parts, decoy parts) of a district of r real and d decoy ballots:
-    its scanned counts rows, ascending, join each real part to each decoy
-    part, and are built only once the scan cap lets the scan run. Filtered,
-    real voters sit on slot one and decoys split over both slots;
-    unfiltered, each type splits over all three actions."""
-    if filtered:
-        return [(r, 0, 0)], [(d1, d - d1, 0) for d1 in range(d + 1)]
-    return _compositions3(r), _compositions3(d)
+class _Parts:
+    """The splits of n ballots over a counts row's first `width` actions,
+    in descending row order. Filtered, real voters sit on slot one (width
+    1) and decoys split over both slots (width 2); unfiltered, each type
+    splits over all three actions. size costs nothing and no split is
+    built until the scan iterates them, so the scan cap is checked first."""
+
+    def __init__(self, n: int, width: int):
+        self.n, self.width = n, width
+        self.size = comb(n + width - 1, width - 1)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        n = self.n
+        for a in range(n, -1, -1) if self.width > 1 else (n,):
+            for b in range(n - a, -1, -1) if self.width > 2 else (n - a,):
+                yield a, b, n - a - b
 
 
 def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
@@ -289,14 +292,13 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     order = [k for ks, _, _ in groups for k in ks]
     place = sorted(range(len(order)), key=order.__getitem__)  # district -> group-order position
     moves = _FILTERED_MOVES if filtered else _ALL_MOVES
-    # Each group's options go in descending row order, so its part of a
-    # representative starts with the split with the most voters on slot
-    # one, whose moves reject the most candidates of the filtered game.
-    # The verdict does not depend on the order.
+    # Each group's options go in descending row order, the order of its
+    # parts, so its part of a representative starts with the split with
+    # the most voters on slot one, whose moves reject the most candidates
+    # of the filtered game. The verdict does not depend on the order.
     orbits = []
     for ks, reals, decoys in groups:
-        compiled = [_compiled(ctx, ks[0], rc + dc, moves)
-                    for rc in reversed(reals) for dc in reversed(decoys)]
+        compiled = [_compiled(ctx, ks[0], rc + dc, moves) for rc in reals for dc in decoys]
         orbits.append([(tuple(option for _, option in combo), tuple(x for x, _ in combo))
                        for combo in combinations_with_replacement(compiled, len(ks))])
     tables = ctx.tables
@@ -326,7 +328,7 @@ def enumerate_equilibria(
 ) -> EquilibriumReport:
     """Exhaustively scan symmetry-reduced profiles and collect the equilibria.
 
-    The candidates are the product of every district's _splits, and the
+    The candidates join every district's real and decoy _Parts, and the
     scan cap bounds their number. Filtered, profiles_scanned also counts
     the profiles with real voters on slot two, a factor real+1 per
     district: they fail the dominance screen whatever the decoys do, so
@@ -338,8 +340,9 @@ def enumerate_equilibria(
     by_counts: dict[tuple[int, int], list[int]] = {}
     for k, key in enumerate(zip(ctx.n_real, ctx.n_decoy)):
         by_counts.setdefault(key, []).append(k)
-    groups = [(ks, *_splits(r, d, filter_dominated)) for (r, d), ks in by_counts.items()]
-    candidates = prod((len(reals) * len(decoys)) ** len(ks) for ks, reals, decoys in groups)
+    real_width, decoy_width = (1, 2) if filter_dominated else (3, 3)
+    groups = [(ks, _Parts(r, real_width), _Parts(d, decoy_width)) for (r, d), ks in by_counts.items()]
+    candidates = prod((reals.size * decoys.size) ** len(ks) for ks, reals, decoys in groups)
     if candidates > scan_cap:
         raise ScanCapExceeded(candidates, scan_cap)
     found, checked = _orbit_scan(ctx, groups, filter_dominated)

@@ -77,9 +77,6 @@ class ActionCount:
     def slot1_applicants(self) -> int:
         return self.real_s1 + self.decoy_s1
 
-    def count(self, voter_type: str, action: str) -> int:
-        return self.as_tuple()[CLASS_SLOTS[(voter_type, action)]]
-
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.real_s1, self.real_s2, self.real_abstain,
                 self.decoy_s1, self.decoy_s2, self.decoy_abstain)

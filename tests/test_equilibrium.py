@@ -1,7 +1,9 @@
 import gc
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb
 
 import pytest
 
@@ -234,6 +236,22 @@ def test_enumerate_scan_cap():
         enumerate_equilibria(s, scan_cap=10)
     assert err.value.required == 27
     assert "27 candidates" in str(err.value)
+
+
+def test_enumerate_scan_cap_refuses_before_building_splits():
+    # The cap is checked on counts alone: a district of 10**7 decoys is
+    # refused without building its 10**7 + 1 decoy splits, filtered or not.
+    s = scenario_for([(2, 10 ** 7)], 1)
+    for filtered, required in ((True, 10 ** 7 + 1), (False, 6 * comb(10 ** 7 + 2, 2))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScanCapExceeded) as err:
+                enumerate_equilibria(s, filter_dominated=filtered, scan_cap=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.required == required
+        assert peak < 1_000_000
 
 
 def test_enumerate_cap_counts_candidates_not_profiles():

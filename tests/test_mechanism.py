@@ -24,6 +24,7 @@ from devilsmenu import (
 from devilsmenu.claims import CANONICAL, family_for, menu_family, sequential_family
 from devilsmenu.cli import _mc_batch
 from devilsmenu.mechanism import (
+    CLASS_SLOTS,
     DECOY,
     NOT_SELECTED,
     REAL,
@@ -420,5 +421,5 @@ def test_action_count_accessors():
     ac = ActionCount(2, 1, 0, 1, 2, 0)
     assert ac.real_total == 3 and ac.decoy_total == 3
     assert ac.slot1_applicants == 3
-    assert ac.count(DECOY, S2) == 2
+    assert ac.as_tuple()[CLASS_SLOTS[(DECOY, S2)]] == 2
     assert ActionCount.from_tuple(ac.as_tuple()) == ac

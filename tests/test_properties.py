@@ -30,7 +30,7 @@ from devilsmenu.equilibrium import (
     single_deviation_profile,
 )
 from devilsmenu.mechanism import (
-    ABSTAIN, DECOY, REAL, S1, S2, Classification, CountProfile, Threshold,
+    ABSTAIN, CLASS_SLOTS, DECOY, REAL, S1, S2, Classification, CountProfile, Threshold,
     payments_for_selection, tie_price_floor,
 )
 from devilsmenu.model import MAX_SEED
@@ -113,7 +113,7 @@ def test_expenditure_is_sum_of_accepted_sales(sp):
         (pay.paid for pay in out.prices_paid.values()), Fraction(0)
     )
     for (k, voter_type, slot), pay in out.prices_paid.items():
-        assert pay.count == p.per_district[k].count(voter_type, slot)
+        assert pay.count == p.as_counts()[k][CLASS_SLOTS[(voter_type, slot)]]
         assert pay.paid == (pay.price * pay.count if pay.sells else 0)
     for k, got in enumerate(out.acquired_real_ballots):
         expect = sum(
