@@ -125,8 +125,8 @@ MUTANTS = [
            "    found.sort()\n", "",
            (f"{T_EQ}::test_orbit_scan_expands_every_arrangement_in_order",)),
     Mutant("spend denominator over one status row only", EQUILIBRIUM,
-           "d = lcm(*(f.denominator for row in per_voter for f in row))",
-           "d = lcm(*(f.denominator for f in per_voter[0]))",
+           "d = lcm(*(f.denominator for f in paid))",
+           "d = lcm(*(f.denominator for f in paid[:6]))",
            (f"{T_EQ}::test_sabotage_bound_symmetric_example",
             f"{T_PROP}::test_strong6_tied_expected_spend_matches_oracle")),
     Mutant("is_nash drops the dominance screen", EQUILIBRIUM,
@@ -158,7 +158,7 @@ MUTANTS = [
            (f"{T_PROP}::test_classify_equals_oracle_partition",
             f"{T_PROP}::test_expected_payoff_matches_draw_enumeration")),
     Mutant("lone-defector spend prices the unmoved districts at the mover's status", EQUILIBRIUM,
-           "rest = rows[0 if scale < tau else (1 if scale == tau else 2)]", "rest = rows[st]",
+           "rest = paid[summary.status(scale, tau)]", "rest = paid[st]",
            (f"{T_EQ}::test_lone_deviation_spends_match_oracle_on_small_family",
             f"{T_PROP}::test_lone_deviation_spends_match_oracle")),
     Mutant("bound denominator taken from delta alone", MECHANISM,
@@ -169,7 +169,7 @@ MUTANTS = [
            (f"{T_EQ}::test_tie_payoff_gap_holds_on_family_members",
             f"{T_PROP}::test_tie_payoff_gap_matches_its_term_by_term_oracle")),
     Mutant("a missing verdict read as no gain", EQUILIBRIUM,
-           "                got = gains(key)\n", "                got = False\n",
+           "        return after > self.rows[c, t][2][st][idx]\n", "        return False\n",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
     Mutant("verify checks a scenario of another menu", CLAIMS,
            "if scenario.menu != menu:", "if False:",
@@ -178,6 +178,20 @@ MUTANTS = [
     Mutant("an assert in model.py", "src/devilsmenu/model.py",
            "    out: list[str] = []\n", "    out: list[str] = []\n    assert s.districts\n",
            ("tests/test_source.py::test_src_has_no_assert_statements",)),
+    Mutant("abstainer payoff read as 0 in rows", EQUILIBRIUM,
+           "pay, value = Fraction(0), keep", "pay, value = Fraction(0), Fraction(0)",
+           (f"{T_EQ}::test_pricing_tables_are_keyed_by_every_pricing_field",
+            f"{T_EQ}::test_pricing_tables_fill_each_entry_once")),
+    Mutant("Threshold.status ignores its tau", MECHANISM,
+           "tau = self.tau if tau is None else tau", "tau = self.tau",
+           (f"{T_PROP}::test_threshold_summary_moves_equal_partition_of_moved_vector",
+            f"{T_PROP}::test_lone_deviation_spends_match_oracle")),
+    Mutant("__missing__ does not record", EQUILIBRIUM,
+           "got = self[key] = self.fill(key)", "got = self.fill(key)",
+           (f"{T_EQ}::test_pricing_tables_fill_each_entry_once",)),
+    Mutant("the pool takes as many workers as asked", CLAIMS,
+           "    workers = min(workers, len(calls), os.cpu_count() or 1)\n", "",
+           ("tests/test_cli.py::test_cli_pool_never_outnumbers_the_cpus",)),
 ]
 
 

@@ -8,6 +8,7 @@ single scenario) and reports one pass/fail row per instance.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -166,8 +167,10 @@ def family_for(claim: str, family: str) -> Iterator[Scenario]:
 
 
 def ordered_map(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
-    """fn(*args) for each args in calls, results in call order: in worker
-    processes when workers > 1, in this process otherwise."""
+    """fn(*args) for each args in calls, results in call order: in a pool of
+    min(workers, len(calls), os.cpu_count()) processes when that is more
+    than one, in this process otherwise."""
+    workers = min(workers, len(calls), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(*args) for args in calls]
     import concurrent.futures

@@ -34,7 +34,6 @@ from .mechanism import (
     status_odds,
     tie_price_floor,
     valuation,
-    voter_payoff,
 )
 from .model import MenuVariant, ProfileError, ScanCapExceeded, Scenario
 
@@ -75,58 +74,60 @@ _FILTERED_MOVES = tuple((mv, idx, dm) for mv, (idx, voter_type, action, alt, dm)
                         if voter_type == DECOY and ABSTAIN not in (action, alt))
 
 
+class _Memo(dict):
+    """A dict that computes a missing entry as fill(key) and records it."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        got = self[key] = self.fill(key)
+        return got
+
+
 class _PricingTables:
-    """The exact tables of one pricing (menu, q, V, eps, delta), which every
-    scenario with that pricing shares: deviation verdicts by (status code,
-    c, t, status code after, c after, t after, move id), and expected
-    per-voter spends by (c, t). None of them depends on the districts.
-    Every verdict comes from an exact Fraction comparison; the tables only
-    remember results: the Nash check reads a verdict from verdicts and
-    calls gains only when it is missing.
+    """The exact tables of one pricing (menu, q, V, eps, delta), shared by
+    every scenario with that pricing; each entry is filled on first lookup.
+    rows[c, t] is (D, paid, worth): paid[code] holds, for a district of that
+    status code, the expected payment to one voter of each class, in the
+    order of a counts tuple, as an integer numerator over the one
+    denominator D, and worth[code] his exact expected payoff. A verdict,
+    verdicts[(status code, c, t) before, (status code, c, t) after, move
+    id], is whether the move strictly pays: one comparison of two worths.
     """
 
     def __init__(self, menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
                  delta: Fraction):
         self.q, self.v = q, v
         self.prices = price_table(menu, v, epsilon, delta)
-        self.verdicts: dict[tuple[int, ...], bool] = {}
-        self._spend: dict[tuple[int, int], tuple[int, tuple[tuple[int, ...], ...]]] = {}
+        self.rows = _Memo(self._row)
+        self.verdicts = _Memo(self._verdict)
 
-    def payoff(self, status: int, c: int, t: int, voter_type: str, action: str) -> Fraction:
-        """Expected payoff of one voter given his district's interim status code."""
-        if action == ABSTAIN:
-            return valuation(voter_type, self.v)
-        return sum(prob * voter_payoff(voter_type, self.prices[(action, final)], self.v)
-                   for final, prob in status_odds(status, c, t, self.q))
+    def _row(self, ct: tuple[int, int]) -> tuple[int, tuple, tuple]:
+        paid, worth = [], []  # by status code, then by class
+        for st in (0, 1, 2):
+            odds = status_odds(st, *ct, self.q)
+            for voter_type, action in CLASS_SLOTS:
+                keep = valuation(voter_type, self.v)
+                if action == ABSTAIN:  # no offer: he keeps his ballot
+                    pay, value = Fraction(0), keep
+                else:
+                    pay = value = Fraction(0)
+                    for final, prob in odds:
+                        offer = settle(voter_type, self.prices[(action, final)], 1, self.v)
+                        pay += prob * offer.paid
+                        value += prob * (offer.paid if offer.sells else keep)
+                paid.append(pay)
+                worth.append(value)
+        d = lcm(*(f.denominator for f in paid))
+        paid = [f.numerator * (d // f.denominator) for f in paid]
+        return d, *(tuple(tuple(col[i:i + 6]) for i in (0, 6, 12)) for col in (paid, worth))
 
-    def gains(self, key: tuple[int, ...]) -> bool:
-        """Whether move key[6] strictly pays when it takes the mover's
-        district from (status code, c, t) key[:3] to key[3:6]; the verdict
-        is computed and recorded in verdicts."""
+    def _verdict(self, key: tuple[int, ...]) -> bool:
         st, c, t, st2, c2, t2, mv = key
-        _, voter_type, action, alt, _ = _MOVES[mv]
-        got = self.verdicts[key] = (self.payoff(st2, c2, t2, voter_type, alt)
-                                    > self.payoff(st, c, t, voter_type, action))
-        return got
-
-    def spend(self, c: int, t: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, rows): rows[code] holds, for a district of that status code,
-        the expected payment to one voter of each (type, action) class, in
-        the order of a counts tuple, as an integer numerator over the one
-        denominator D. Abstainers receive no offer."""
-        got = self._spend.get((c, t))
-        if got is None:
-            per_voter = [
-                [Fraction(0) if action == ABSTAIN else
-                 sum(prob * settle(voter_type, self.prices[(action, final)], 1, self.v).paid
-                     for final, prob in status_odds(status, c, t, self.q))
-                 for voter_type, action in CLASS_SLOTS]
-                for status in (0, 1, 2)]
-            d = lcm(*(f.denominator for row in per_voter for f in row))
-            got = d, tuple(tuple(f.numerator * (d // f.denominator) for f in row)
-                           for row in per_voter)
-            self._spend[(c, t)] = got
-        return got
+        idx, voter_type, _, alt, _ = _MOVES[mv]
+        after = self.rows[c2, t2][2][st2][CLASS_SLOTS[(voter_type, alt)]]
+        return after > self.rows[c, t][2][st][idx]
 
 
 @lru_cache(maxsize=32)
@@ -137,9 +138,9 @@ def _pricing_tables(menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
 
 class _Ctx:
     """One scenario's districts, built once per call; nothing in it outlives
-    the call. Verdicts and spends live in the scenario's _PricingTables,
-    which are shared by every scenario with the same menu, q, V, eps and
-    delta.
+    the call. Verdicts, payoffs and spends live in the scenario's
+    _PricingTables, which are shared by every scenario with the same menu,
+    q, V, eps and delta.
 
     Slot-one counts are keyed as classify keys them, by key_steps: scale
     is L and district k's m is m * steps[k].
@@ -158,7 +159,8 @@ class _Ctx:
 
 def _payoff_in(ctx: _Ctx, keys: list[int], k: int, voter_type: str, action: str) -> Fraction:
     summary = Threshold(keys, ctx.tables.q)
-    return ctx.tables.payoff(summary.status(keys[k]), summary.c, summary.t, voter_type, action)
+    worth = ctx.tables.rows[summary.c, summary.t][2]
+    return worth[summary.status(keys[k])][CLASS_SLOTS[(voter_type, action)]]
 
 
 def expected_payoff(s: Scenario, p: CountProfile, who: VoterClass) -> Fraction:
@@ -206,15 +208,11 @@ def _is_nash_counts(tables: _PricingTables, options: tuple, keys: tuple) -> bool
     the districts."""
     summary = Threshold(keys, tables.q)
     c, t, status, after = summary.c, summary.t, summary.status, summary.after
-    verdict, gains = tables.verdicts.get, tables.gains
+    verdicts = tables.verdicts
     for x, (moves, _) in zip(keys, options):
         st = status(x)
         for mv, y in moves:
-            key = (st, c, t, *after(x, y), mv) if y != x else (st, c, t, st, c, t, mv)
-            got = verdict(key)
-            if got is None:
-                got = gains(key)
-            if got:
+            if verdicts[(st, c, t, *after(x, y), mv) if y != x else (st, c, t, st, c, t, mv)]:
                 return False
     return True
 
@@ -369,8 +367,8 @@ def expected_expenditure(s: Scenario, p: CountProfile) -> Fraction:
     counts = p.as_counts()
     keys = ctx.keys(counts)
     summary = Threshold(keys, ctx.tables.q)
-    d, rows = ctx.tables.spend(summary.c, summary.t)
-    total = sum(sum(map(mul, cnt, rows[summary.status(x)])) for cnt, x in zip(counts, keys))
+    d, paid, _ = ctx.tables.rows[summary.c, summary.t]
+    total = sum(sum(map(mul, cnt, paid[summary.status(x)])) for cnt, x in zip(counts, keys))
     return Fraction(total, d)
 
 
@@ -445,10 +443,10 @@ def _lone_deviation_spends(s: Scenario, voter_type: str, new_action: str) -> dic
             y = (moved[0] + moved[3]) * step
             st, c, t = summary.after(scale, y)
             tau = summary.moved_tau(scale, y)
-            den, rows = ctx.tables.spend(c, t)
-            rest = rows[0 if scale < tau else (1 if scale == tau else 2)]
+            den, paid, _ = ctx.tables.rows[c, t]
+            rest = paid[summary.status(scale, tau)]
             spends[k] = Fraction((total_real - r) * rest[0] + (total_decoy - d) * rest[4]
-                                 + sum(map(mul, moved, rows[st])), den)
+                                 + sum(map(mul, moved, paid[st])), den)
     return spends
 
 

@@ -196,8 +196,9 @@ class Threshold:
         # key, unless no other tied key sat below rank q (c = q - 1).
         self.bounds = ((tau, above), (below if c == q - 1 else tau, above), (below, tau))
 
-    def status(self, x: int) -> int:
-        tau = self.tau
+    def status(self, x: int, tau: int | None = None) -> int:
+        """Key x's status code against tau (the threshold by default): 0 below, 1 tied, 2 above."""
+        tau = self.tau if tau is None else tau
         return 0 if x < tau else (1 if x == tau else 2)
 
     def moved_tau(self, x: int, y: int) -> int:
@@ -210,8 +211,7 @@ class Threshold:
         tau = self.moved_tau(x, y)
         ranked = self.ranked
         lt = bisect_left(ranked, tau)
-        return ((0 if y < tau else (1 if y == tau else 2)),
-                lt - (x < tau) + (y < tau),
+        return (self.status(y, tau), lt - (x < tau) + (y < tau),
                 bisect_right(ranked, tau, lt) - lt - (x == tau) + (y == tau))
 
 

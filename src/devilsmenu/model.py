@@ -30,10 +30,7 @@ class ScanCapExceeded(RuntimeError):
     def __init__(self, required: int, cap: int):
         self.required = required
         self.cap = cap
-        super().__init__(
-            f"equilibrium scan needs {required} candidates but the cap is {cap}; "
-            f"rerun with scan_cap >= {required}"
-        )
+        super().__init__(f"equilibrium scan needs {required} candidates but the cap is {cap}")
 
 
 class DeltaBelowThreshold(ValueError):

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -348,6 +349,40 @@ def test_cli_two_workers_match_one(tmp_path, capsys, monkeypatch, argv):
     assert outputs[1:] == outputs[:-1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", str(SHIPPED), "--mc", "50"],
+    ["verify", "--claim", "thm1"],
+])
+def test_cli_pool_never_outnumbers_the_cpus(tmp_path, capsys, monkeypatch, argv):
+    # A stand-in pool records the size it is asked for and maps in this
+    # process, so no process starts whatever --workers asks for.
+    import concurrent.futures
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    outputs = []
+    for workers in ("1", "100000"):
+        csv = tmp_path / f"workers{workers}.csv"
+        assert main(argv + ["--workers", workers, "--out", str(csv)]) == 0
+        outputs.append((capsys.readouterr().out, csv.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert asked == [3]
+
+
 @pytest.mark.parametrize("doc, rows, expected", [
     # districts 0 and 1 above, district 2 alone at the threshold: selected always
     (GOOD, [{"real_s1": 2, "decoy_s1": 2}, {"real_s1": 2, "decoy_s1": 2},
@@ -442,3 +477,4 @@ def test_cli_refuses_before_printing(tmp_path, capsys, argv, doc, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {message}" in captured.err
+    assert "rerun" not in captured.err  # neither verify nor commitment has --scan-cap

@@ -71,7 +71,7 @@ DIGESTS = {
     'run-mc-uneven': (0, 'd86cc11afbe60ee0', '5ea36fd6f57bd330', 'e3b0c44298fc1c14'),
     'run-three': (0, 'd2b4221f7e9bdc64', '31cea87b84e4d7c8', 'e3b0c44298fc1c14'),
     'run-uneven': (0, 'a82afeee4bf3cbef', '8956c59d16bb87ac', 'e3b0c44298fc1c14'),
-    'scan-cap-error': (2, 'e3b0c44298fc1c14', None, 'e8fed50dbb53b580'),
+    'scan-cap-error': (2, 'e3b0c44298fc1c14', None, '366589ca32864760'),
     'sequential': (0, '830eed4011f924ee', 'e77559a128aac3d7', 'e3b0c44298fc1c14'),
     'sweep-delta-off': (0, '6a34fc840724ae97', 'eb47a3c8486fcff7', 'e3b0c44298fc1c14'),
     'sweep-delta-on': (0, '1b0a7956beaf2ebf', '407d2c88a14ee00f', 'e3b0c44298fc1c14'),

@@ -1,6 +1,7 @@
 import gc
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
@@ -26,13 +27,15 @@ from devilsmenu import (
 from devilsmenu.claims import check_instance, family_for, run_claim
 from devilsmenu.equilibrium import (
     VoterClass,
+    _MOVES,
+    _PricingTables,
     _distinct_permutations,
     _pricing_tables,
     real_deviation_expenditures,
     single_deviation_profile,
 )
 from devilsmenu.mechanism import (
-    DECOY, REAL, S1, S2, ABSTAIN, CountProfile,
+    DECOY, REAL, S1, S2, ABSTAIN, CountProfile, price_table, status_odds, voter_payoff,
 )
 from oracles import oracle_expected_expenditure, oracle_expected_payoff, per_citizen_equilibria
 
@@ -381,6 +384,41 @@ def test_pricing_tables_are_keyed_by_every_pricing_field():
                         got = expected_payoff(s, p, VoterClass(k, vtype, action))
                         assert got == oracle_expected_payoff(s, counts, k, vtype, action), \
                             (s, counts, k, vtype, action)
+
+
+def test_pricing_tables_fill_each_entry_once(monkeypatch):
+    # Rows and verdicts are filled on first lookup and recorded: a second
+    # scan of the same scenario fills nothing, and every recorded verdict
+    # is a fresh exact comparison of the two payoffs it names.
+    fills = Counter()
+    for name in ("_row", "_verdict"):
+        def counted(tables, key, name=name, fill=getattr(_PricingTables, name)):
+            fills[name, key] += 1
+            return fill(tables, key)
+        monkeypatch.setattr(_PricingTables, name, counted)
+    s = scenario_for([(1, 2), (2, 1), (2, 2), (1, 1)], 2)
+    prices = price_table(s.menu, s.real_value, s.epsilon, s.delta)
+
+    def payoff(st, c, t, voter_type, action):
+        if action == ABSTAIN:
+            return s.real_value if voter_type == REAL else 0
+        return sum(prob * voter_payoff(voter_type, prices[(action, final)], s.real_value)
+                   for final, prob in status_odds(st, c, t, s.target_count))
+
+    _pricing_tables.cache_clear()
+    for filtered in (True, False):
+        first = enumerate_equilibria(s, filter_dominated=filtered)
+        filled = fills.copy()
+        assert enumerate_equilibria(s, filter_dominated=filtered) == first
+        assert fills == filled
+    assert set(fills.values()) == {1}
+    assert {name for name, _ in fills} == {"_row", "_verdict"}
+    verdicts = _pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta).verdicts
+    assert len(verdicts) == sum(name == "_verdict" for name, _ in fills)
+    for (st, c, t, st2, c2, t2, mv), gains in verdicts.items():
+        _, voter_type, action, alt, _ = _MOVES[mv]
+        assert gains == (payoff(st2, c2, t2, voter_type, alt) > payoff(st, c, t, voter_type, action))
+    _pricing_tables.cache_clear()  # drop tables that hold the counting fills
 
 
 def test_no_scenario_state_outlives_the_families():
