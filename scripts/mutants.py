@@ -48,6 +48,7 @@ CLAIMS, CLI, INIT = ("src/devilsmenu/claims.py", "src/devilsmenu/cli.py",
 MECHANISM, EQUILIBRIUM = "src/devilsmenu/mechanism.py", "src/devilsmenu/equilibrium.py"
 T_MECH, T_EQ, T_PROP = "tests/test_mechanism.py", "tests/test_equilibrium.py", "tests/test_properties.py"
 T_CLI = "tests/test_cli.py::test_cli_refuses_before_printing"
+T_HASH = "tests/test_cli.py::test_profile_parse_error_names_the_first_bad_field_whatever_the_hash_seed"
 COMMITMENT_CHECK = """\
     deviators = args.decoys_to_slot1
     if not args.verify and not 0 <= deviators <= s.total_decoy:
@@ -192,6 +193,19 @@ MUTANTS = [
     Mutant("the pool takes as many workers as asked", CLAIMS,
            "    workers = min(workers, len(calls), os.cpu_count() or 1)\n", "",
            ("tests/test_cli.py::test_cli_pool_never_outnumbers_the_cpus",)),
+    Mutant("profile fields read in set order", CLI,
+           "for key in ActionCount._fields]", "for key in set(ActionCount._fields)]",
+           (f"{T_HASH}[0]", f"{T_HASH}[1]")),
+    Mutant("CLASS_SLOTS built in reversed field order", MECHANISM,
+           "enumerate(ActionCount._fields)}", "enumerate(reversed(ActionCount._fields))}",
+           (f"{T_MECH}::test_action_count_accessors",)),
+    Mutant("tie_price_floor lets a non-weak4 menu run sequentially", MECHANISM,
+           '        if menu.tag != "weak4":\n            raise ValueError("sequential',
+           '        if False:\n            raise ValueError("sequential',
+           (f"{T_CLI}[sequential-strong6]",)),
+    Mutant("district dropped from a parse error", CLI,
+           'key, f"{path}: district {i}", default=0)', "key, path, default=0)",
+           (f"{T_HASH}[0]", f"{T_HASH}[1]")),
 ]
 
 

@@ -55,8 +55,6 @@ from .model import (
 
 SCENARIO_KEYS = {"districts", "V", "epsilon", "delta", "q", "budget", "menu", "seed"}
 DISTRICT_KEYS = {"real", "decoy"}
-PROFILE_DISTRICT_KEYS = {"real_s1", "real_s2", "real_abstain",
-                         "decoy_s1", "decoy_s2", "decoy_abstain"}
 
 
 def _load_json(path: str):
@@ -72,14 +70,15 @@ def _load_json(path: str):
         ) from None
 
 
-def _require_int(doc: dict, key: str, path: str, default=None) -> int:
+def _require_int(doc: dict, key: str, where: str, default=None) -> int:
+    """doc[key] as an int, or default when it is absent; errors start with where."""
     if key not in doc:
         if default is None:
-            raise ScenarioFormatError(f"{path}: missing required field {key!r}")
+            raise ScenarioFormatError(f"{where}: missing required field {key!r}")
         return default
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioFormatError(f"{path}: field {key!r} must be an integer")
+        raise ScenarioFormatError(f"{where}: field {key!r} must be an integer")
     return value
 
 
@@ -107,8 +106,8 @@ def parse_scenario_file(path: str) -> Scenario:
                 f"{path}: district {i}: unknown key(s): {', '.join(unknown)}"
             )
         districts.append(DistrictSpec(
-            _require_int(entry, "real", path),
-            _require_int(entry, "decoy", path),
+            _require_int(entry, "real", f"{path}: district {i}"),
+            _require_int(entry, "decoy", f"{path}: district {i}"),
         ))
     if not isinstance(doc["menu"], str):
         raise ScenarioFormatError(f"{path}: 'menu' must be a string")
@@ -144,16 +143,15 @@ def parse_profile_file(path: str, scenario: Scenario) -> CountProfile:
     for i, entry in enumerate(rows):
         if not isinstance(entry, dict):
             raise ScenarioFormatError(f"{path}: district {i} must be an object")
-        unknown = sorted(set(entry) - PROFILE_DISTRICT_KEYS)
+        unknown = sorted(set(entry).difference(ActionCount._fields))
         if unknown:
             raise ScenarioFormatError(
                 f"{path}: district {i}: unknown key(s): {', '.join(unknown)}"
             )
-        per_district.append(ActionCount(**{
-            key: _require_int(entry, key, path, default=0)
-            for key in PROFILE_DISTRICT_KEYS
-        }))
-    profile = CountProfile(tuple(per_district))
+        per_district.append(
+            [_require_int(entry, key, f"{path}: district {i}", default=0)
+             for key in ActionCount._fields])
+    profile = CountProfile.from_counts(per_district)
     profile.check_against(scenario)  # raises ProfileError with context
     return profile
 
@@ -320,15 +318,11 @@ def _cmd_enumerate(args) -> int:
     print(f"sigma-star unique: {'yes' if report.sigma_star_unique else 'no'}")
     for idx, eq in enumerate(report.equilibria, 1):
         print(f"equilibrium {idx}:")
-        rows = [(str(k),) + tuple(str(x) for x in ac.as_tuple())
-                for k, ac in enumerate(eq.per_district)]
-        print(_table(rows, ("district", "real_s1", "real_s2", "real_abstain",
-                            "decoy_s1", "decoy_s2", "decoy_abstain")))
+        rows = [(str(k),) + tuple(map(str, ac)) for k, ac in enumerate(eq.per_district)]
+        print(_table(rows, ("district",) + ActionCount._fields))
     if args.out:
-        _write_csv(args.out,
-                   ("equilibrium", "district", "real_s1", "real_s2", "real_abstain",
-                    "decoy_s1", "decoy_s2", "decoy_abstain"),
-                   [(idx, k) + ac.as_tuple()
+        _write_csv(args.out, ("equilibrium", "district") + ActionCount._fields,
+                   [(idx, k) + ac
                     for idx, eq in enumerate(report.equilibria, 1)
                     for k, ac in enumerate(eq.per_district)],
                    scenario=s)

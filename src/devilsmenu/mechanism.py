@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import (
     DeltaBelowThreshold,
@@ -45,18 +45,9 @@ NOT_SELECTED = "not_selected"
 STATUSES = (SELECTED_OUTRIGHT, SELECTED_BY_DRAW, NOT_SELECTED)
 
 
-# The (type, action) class of each field of ActionCount, by its index in
-# the field order, which is also the layout of a counts tuple.
-CLASS_SLOTS = {
-    (REAL, S1): 0, (REAL, S2): 1, (REAL, ABSTAIN): 2,
-    (DECOY, S1): 3, (DECOY, S2): 4, (DECOY, ABSTAIN): 5,
-}
-
-
-@dataclass(frozen=True)
-class ActionCount:
-    """How many voters of each type in one district chose each action,
-    in the order of CLASS_SLOTS."""
+class ActionCount(NamedTuple):
+    """How many voters of each type in one district chose each action: a
+    counts tuple, whose field order is the one counts layout."""
 
     real_s1: int
     real_s2: int
@@ -77,13 +68,10 @@ class ActionCount:
     def slot1_applicants(self) -> int:
         return self.real_s1 + self.decoy_s1
 
-    def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (self.real_s1, self.real_s2, self.real_abstain,
-                self.decoy_s1, self.decoy_s2, self.decoy_abstain)
 
-    @classmethod
-    def from_tuple(cls, t: tuple[int, int, int, int, int, int]) -> "ActionCount":
-        return cls(*t)
+# The index in a counts tuple of each (type, action) class, read off the
+# ActionCount field named <type>_<action>.
+CLASS_SLOTS = {tuple(field.split("_")): i for i, field in enumerate(ActionCount._fields)}
 
 
 @dataclass(frozen=True)
@@ -101,10 +89,10 @@ class CountProfile:
 
     @classmethod
     def from_counts(cls, counts: Iterable[tuple[int, int, int, int, int, int]]) -> "CountProfile":
-        return cls(tuple(ActionCount.from_tuple(t) for t in counts))
+        return cls(tuple(map(ActionCount._make, counts)))
 
-    def as_counts(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
-        return tuple(ac.as_tuple() for ac in self.per_district)
+    def as_counts(self) -> tuple[ActionCount, ...]:
+        return self.per_district
 
     def check_against(self, s: Scenario) -> None:
         """Raise ProfileError unless the profile fits the scenario's counts."""
@@ -114,7 +102,7 @@ class CountProfile:
                 f"scenario has {s.num_districts}"
             )
         for k, (ac, d) in enumerate(zip(self.per_district, s.districts)):
-            if min(ac.as_tuple()) < 0:
+            if min(ac) < 0:
                 raise ProfileError(f"district {k}: negative action count")
             if ac.real_total != d.real_count:
                 raise ProfileError(
@@ -432,7 +420,7 @@ def payments_for_selection(
     for k, ac in enumerate(p.per_district):
         got_real = 0
         status = district_status(k, cl, selected, s.target_count)
-        for (voter_type, action), count in zip(CLASS_SLOTS, ac.as_tuple()):
+        for (voter_type, action), count in zip(CLASS_SLOTS, ac):
             if action == ABSTAIN or not count:
                 continue
             pay = settle(voter_type, prices[(action, status)], count, s.real_value)
@@ -508,7 +496,7 @@ def tie_price_floor(menu: MenuVariant, k: int, q: int, v: RationalLike,
     v, eps = parse_rational(v), parse_rational(epsilon)
     if sequential:
         if menu.tag != "weak4":
-            raise ValueError("sequential runs use the weak four-price menu")
+            raise ValueError("sequential buying runs the weak four-price menu")
         return Fraction(1, k - q + 1) * v + 2 * eps
     if menu.tag == "weak4":
         return Fraction(q, k) * v + 2 * eps

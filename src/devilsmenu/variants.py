@@ -69,8 +69,6 @@ def sequential_rounds(s: Scenario, rng: random.Random):
     indices in states and outcomes refer to the original scenario. Refuses if
     delta is below the last date's critical value, which is the binding one.
     """
-    if s.menu.tag != "weak4":
-        raise ValueError("sequential buying runs the weak four-price menu")
     require_delta_at_least(s, minimal_delta(s, sequential=True))
     remaining = tuple(range(s.num_districts))
     purchased: tuple[Outcome, ...] = ()
@@ -99,8 +97,6 @@ def verify_subgame_perfect(s: Scenario) -> bool:
     the target profile as its filtered equilibrium under a single-district
     target. True iff all residual games pass.
     """
-    if s.menu.tag != "weak4":
-        raise ValueError("sequential buying runs the weak four-price menu")
     require_delta_at_least(s, minimal_delta(s, sequential=True))
     indices = range(s.num_districts)
     for round_no in range(1, s.target_count + 1):

@@ -1,11 +1,14 @@
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import devilsmenu
 from devilsmenu import ScenarioFormatError, execute
 from devilsmenu.cli import main, parse_profile_file, parse_scenario_file, scenario_echo
 
@@ -81,6 +84,29 @@ def test_parse_profile_file(tmp_path):
     ]}
     p = parse_profile_file(write(tmp_path, doc, "profile.json"), s)
     assert p.per_district[1].decoy_s1 == 1
+
+
+def test_parse_scenario_names_the_district_of_a_bad_field(tmp_path):
+    doc = dict(GOOD, districts=[{"real": 2, "decoy": 2}, {"real": "x", "decoy": 2}])
+    path = write(tmp_path, doc)
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_scenario_file(path)
+    assert str(err.value) == f"{path}: district 1: field 'real' must be an integer"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_profile_parse_error_names_the_first_bad_field_whatever_the_hash_seed(tmp_path, hash_seed):
+    # Fields are read in ActionCount order, so of two bad fields the first
+    # one, real_s1, is named under every hash seed.
+    path = write(tmp_path, GOOD)
+    rows = [{"real_s1": "x", "decoy_s2": "y"}] + [{"real_s1": 2, "decoy_s2": 2}] * 2
+    profile = write(tmp_path, {"districts": rows}, "profile.json")
+    src = str(Path(devilsmenu.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "devilsmenu.cli", "run", "--scenario", path,
+                           "--profile", profile], env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert f"{profile}: district 0: field 'real_s1' must be an integer" in done.stderr
 
 
 def test_cli_run_deterministic(tmp_path, capsys):

@@ -24,6 +24,7 @@ from devilsmenu import (
 from devilsmenu.claims import CANONICAL, family_for, menu_family, sequential_family
 from devilsmenu.cli import _mc_batch
 from devilsmenu.mechanism import (
+    ABSTAIN,
     CLASS_SLOTS,
     DECOY,
     NOT_SELECTED,
@@ -46,7 +47,7 @@ DELTA = Fraction(36)
 
 
 def with_decoy_moved(profile: CountProfile, district: int) -> CountProfile:
-    rows = [list(ac.as_tuple()) for ac in profile.per_district]
+    rows = [list(ac) for ac in profile.per_district]
     rows[district][4] -= 1
     rows[district][3] += 1
     return CountProfile.from_counts(tuple(tuple(r) for r in rows))
@@ -421,5 +422,18 @@ def test_action_count_accessors():
     ac = ActionCount(2, 1, 0, 1, 2, 0)
     assert ac.real_total == 3 and ac.decoy_total == 3
     assert ac.slot1_applicants == 3
-    assert ac.as_tuple()[CLASS_SLOTS[(DECOY, S2)]] == 2
-    assert ActionCount.from_tuple(ac.as_tuple()) == ac
+    assert ac[CLASS_SLOTS[(DECOY, S2)]] == 2
+    assert ActionCount._make(tuple(ac)) == ac
+    # One counts layout: CLASS_SLOTS is read off the field order, a row is
+    # its own counts tuple, and from_counts / as_counts round-trip.
+    assert CLASS_SLOTS == {
+        (REAL, S1): 0, (REAL, S2): 1, (REAL, ABSTAIN): 2,
+        (DECOY, S1): 3, (DECOY, S2): 4, (DECOY, ABSTAIN): 5,
+    }
+    assert ActionCount._fields == ("real_s1", "real_s2", "real_abstain",
+                                   "decoy_s1", "decoy_s2", "decoy_abstain")
+    assert ac == tuple(ac) == (2, 1, 0, 1, 2, 0)
+    rows = ((2, 1, 0, 1, 2, 0), (3, 0, 0, 0, 1, 1))
+    profile = CountProfile.from_counts(rows)
+    assert all(type(row) is ActionCount for row in profile.per_district)
+    assert profile.as_counts() == rows
