@@ -45,10 +45,16 @@ class Mutant(NamedTuple):
 
 CLAIMS, CLI, INIT = ("src/devilsmenu/claims.py", "src/devilsmenu/cli.py",
                      "src/devilsmenu/__init__.py")
+VARIANTS = "src/devilsmenu/variants.py"
 MECHANISM, EQUILIBRIUM = "src/devilsmenu/mechanism.py", "src/devilsmenu/equilibrium.py"
 T_MECH, T_EQ, T_PROP = "tests/test_mechanism.py", "tests/test_equilibrium.py", "tests/test_properties.py"
 T_CLI = "tests/test_cli.py::test_cli_refuses_before_printing"
 T_HASH = "tests/test_cli.py::test_profile_parse_error_names_the_first_bad_field_whatever_the_hash_seed"
+T_LONE = ("tests/test_equilibrium.py::test_lone_deviation_spends_match_oracle_on_small_family",
+          "tests/test_properties.py::test_lone_deviation_spends_match_oracle")
+T_ROUNDS = ("tests/test_variants.py::test_subgame_check_scans_each_residual_multiset_once",
+            "tests/test_variants.py::test_subgame_check_fails_when_any_round_fails",
+            "tests/test_variants.py::test_cli_sequential_claim_fails_when_a_round_fails")
 COMMITMENT_CHECK = """\
     deviators = args.decoys_to_slot1
     if not args.verify and not 0 <= deviators <= s.total_decoy:
@@ -115,7 +121,7 @@ MUTANTS = [
            "if interim == 0:",
            (f"{T_MECH}::test_execute_prices_a_degenerate_draw_as_outright",)),
     Mutant("threshold clamp ignores y", MECHANISM,
-           "return lo if y < lo else (hi if y > hi else y)", "return lo if y < lo else hi",
+           "tau = lo if y < lo else (hi if y > hi else y)", "tau = lo if y < lo else hi",
            (f"{T_PROP}::test_threshold_summary_meets_its_edge_cases",
             f"{T_PROP}::test_threshold_summary_moves_equal_partition_of_moved_vector")),
     Mutant("threshold bound of a moving tied key ignores c", MECHANISM,
@@ -145,7 +151,8 @@ MUTANTS = [
            "rows = [tuple(option[1] for option in orbit_options)",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
     Mutant("deviation payoff without the occupied-class refusal", EQUILIBRIUM,
-           "if counts[who.district][idx] == 0:", "if False:",
+           "if p.as_counts()[who.district][CLASS_SLOTS[(who.voter_type, who.action)]] == 0:",
+           "if False:",
            (f"{T_EQ}::test_deviation_requires_occupied_class",)),
     Mutant("classify keys without the L / r step", MECHANISM,
            "return scale, tuple(scale // d.real_count for d in s.districts)",
@@ -159,7 +166,7 @@ MUTANTS = [
            (f"{T_PROP}::test_classify_equals_oracle_partition",
             f"{T_PROP}::test_expected_payoff_matches_draw_enumeration")),
     Mutant("lone-defector spend prices the unmoved districts at the mover's status", EQUILIBRIUM,
-           "rest = paid[summary.status(scale, tau)]", "rest = paid[st]",
+           "rest = paid[0 if c > (st == 0) else (1 if t > (st == 1) else 2)]", "rest = paid[st]",
            (f"{T_EQ}::test_lone_deviation_spends_match_oracle_on_small_family",
             f"{T_PROP}::test_lone_deviation_spends_match_oracle")),
     Mutant("bound denominator taken from delta alone", MECHANISM,
@@ -180,7 +187,8 @@ MUTANTS = [
            "    out: list[str] = []\n", "    out: list[str] = []\n    assert s.districts\n",
            ("tests/test_source.py::test_src_has_no_assert_statements",)),
     Mutant("abstainer payoff read as 0 in rows", EQUILIBRIUM,
-           "pay, value = Fraction(0), keep", "pay, value = Fraction(0), Fraction(0)",
+           "pay, value = Fraction(0), valuation(voter_type, self.v)",
+           "pay, value = Fraction(0), Fraction(0)",
            (f"{T_EQ}::test_pricing_tables_are_keyed_by_every_pricing_field",
             f"{T_EQ}::test_pricing_tables_fill_each_entry_once")),
     Mutant("Threshold.status ignores its tau", MECHANISM,
@@ -206,6 +214,21 @@ MUTANTS = [
     Mutant("district dropped from a parse error", CLI,
            'key, f"{path}: district {i}", default=0)', "key, path, default=0)",
            (f"{T_HASH}[0]", f"{T_HASH}[1]")),
+    Mutant("unmoved sigma-star status ignores the mover in c", EQUILIBRIUM,
+           "0 if c > (st == 0) else", "0 if c > 0 else", T_LONE),
+    Mutant("unmoved sigma-star status ignores the mover in t", EQUILIBRIUM,
+           "(1 if t > (st == 1) else 2)", "(1 if t > 0 else 2)", T_LONE),
+    Mutant("deviation payoff ignores the move's key change", EQUILIBRIUM,
+           "y = x + ((new_action == S1) - (who.action == S1)) * ctx.steps[who.district]", "y = x",
+           (f"{T_PROP}::test_deviation_payoff_equals_oracle_of_the_moved_profile",)),
+    Mutant("a residual round left out", VARIANTS,
+           "range(k, k - s.target_count, -1)", "range(k, k - s.target_count + 1, -1)", T_ROUNDS),
+    Mutant("residuals scanned per index subset", VARIANTS,
+           "dict.fromkeys(itertools.combinations(districts, size))",
+           "itertools.combinations(districts, size)", T_ROUNDS),
+    Mutant("subgame check ignores a failing round", VARIANTS,
+           "            if not report.sigma_star_unique:\n                return False\n", "",
+           T_ROUNDS),
 ]
 
 

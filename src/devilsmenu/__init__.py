@@ -55,7 +55,6 @@ _VARIANTS = frozenset({
     "run_commitment",
     "run_lemons",
     "run_sequential",
-    "sequential_rounds",
     "verify_commitment_equilibrium",
     "verify_subgame_perfect",
 })

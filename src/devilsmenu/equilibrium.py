@@ -34,6 +34,7 @@ from .mechanism import (
     status_odds,
     tie_price_floor,
     valuation,
+    voter_payoff,
 )
 from .model import MenuVariant, ProfileError, ScanCapExceeded, Scenario
 
@@ -108,15 +109,14 @@ class _PricingTables:
         for st in (0, 1, 2):
             odds = status_odds(st, *ct, self.q)
             for voter_type, action in CLASS_SLOTS:
-                keep = valuation(voter_type, self.v)
                 if action == ABSTAIN:  # no offer: he keeps his ballot
-                    pay, value = Fraction(0), keep
+                    pay, value = Fraction(0), valuation(voter_type, self.v)
                 else:
                     pay = value = Fraction(0)
                     for final, prob in odds:
-                        offer = settle(voter_type, self.prices[(action, final)], 1, self.v)
-                        pay += prob * offer.paid
-                        value += prob * (offer.paid if offer.sells else keep)
+                        price = self.prices[(action, final)]
+                        pay += prob * settle(voter_type, price, 1, self.v).paid
+                        value += prob * voter_payoff(voter_type, price, self.v)
                 paid.append(pay)
                 worth.append(value)
         d = lcm(*(f.denominator for f in paid))
@@ -157,10 +157,15 @@ class _Ctx:
         return [(cnt[0] + cnt[3]) * step for cnt, step in zip(counts, self.steps)]
 
 
-def _payoff_in(ctx: _Ctx, keys: list[int], k: int, voter_type: str, action: str) -> Fraction:
-    summary = Threshold(keys, ctx.tables.q)
-    worth = ctx.tables.rows[summary.c, summary.t][2]
-    return worth[summary.status(keys[k])][CLASS_SLOTS[(voter_type, action)]]
+def _payoff_after(s: Scenario, p: CountProfile, who: VoterClass, new_action: str) -> Fraction:
+    """Payoff of one who-class voter once he alone plays new_action: one
+    summary of p's keys, read after his key shifts by his slot-one change."""
+    ctx = _Ctx(s)
+    keys = ctx.keys(p.as_counts())
+    x = keys[who.district]
+    y = x + ((new_action == S1) - (who.action == S1)) * ctx.steps[who.district]
+    st, c, t = Threshold(keys, ctx.tables.q).after(x, y)
+    return ctx.tables.rows[c, t][2][st][CLASS_SLOTS[(who.voter_type, new_action)]]
 
 
 def expected_payoff(s: Scenario, p: CountProfile, who: VoterClass) -> Fraction:
@@ -170,27 +175,18 @@ def expected_payoff(s: Scenario, p: CountProfile, who: VoterClass) -> Fraction:
     is what deviation checks evaluate after moving a voter in.
     """
     p.check_against(s)
-    ctx = _Ctx(s)
-    return _payoff_in(ctx, ctx.keys(p.as_counts()), who.district, who.voter_type, who.action)
+    return _payoff_after(s, p, who, who.action)
 
 
 def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: str) -> Fraction:
-    """Payoff of one who-class voter after he alone switches to new_action.
-
-    The whole profile is reclassified from scratch: a single move can push
-    the district across the below/tied/above boundary.
-    """
+    """Payoff of one who-class voter after he alone switches to new_action,
+    which may carry his district across the below/tied/above boundary."""
     p.check_against(s)
-    counts = p.as_counts()
-    idx = CLASS_SLOTS[(who.voter_type, who.action)]
-    if counts[who.district][idx] == 0:
+    if p.as_counts()[who.district][CLASS_SLOTS[(who.voter_type, who.action)]] == 0:
         raise ProfileError(
             f"district {who.district} has no {who.voter_type} voter playing {who.action}"
         )
-    ctx = _Ctx(s)
-    keys = ctx.keys(counts)
-    keys[who.district] += ((new_action == S1) - (who.action == S1)) * ctx.steps[who.district]
-    return _payoff_in(ctx, keys, who.district, who.voter_type, new_action)
+    return _payoff_after(s, p, who, new_action)
 
 
 def _compiled(ctx: _Ctx, k: int, row: tuple, moves: tuple) -> tuple:
@@ -212,7 +208,7 @@ def _is_nash_counts(tables: _PricingTables, options: tuple, keys: tuple) -> bool
     for x, (moves, _) in zip(keys, options):
         st = status(x)
         for mv, y in moves:
-            if verdicts[(st, c, t, *after(x, y), mv) if y != x else (st, c, t, st, c, t, mv)]:
+            if verdicts[(st, c, t, *after(x, y), mv)]:
                 return False
     return True
 
@@ -429,8 +425,8 @@ def _lone_deviation_spends(s: Scenario, voter_type: str, new_action: str) -> dic
     Every sigma-star key is L, the lcm of the real counts, so one threshold
     summary serves every mover: the mover's (status, c, t) is after(L, y),
     and every other district keeps key L, so all of them share one status
-    against the moved threshold. Each spend is then three integer terms over
-    the one denominator of its (c, t).
+    against the moved threshold, read off the mover's (status, c, t). Each
+    spend is then three integer terms over the one denominator of its (c, t).
     """
     ctx = _Ctx(s)
     scale = ctx.scale
@@ -442,9 +438,11 @@ def _lone_deviation_spends(s: Scenario, voter_type: str, new_action: str) -> dic
             moved = _moved_row((r, 0, 0, 0, d, 0), k, voter_type, new_action)
             y = (moved[0] + moved[3]) * step
             st, c, t = summary.after(scale, y)
-            tau = summary.moved_tau(scale, y)
             den, paid, _ = ctx.tables.rows[c, t]
-            rest = paid[summary.status(scale, tau)]
+            # The unmoved districts share key L: all below if c counts one
+            # besides the mover, else all tied if t does, else all above.
+            # With no unmoved district (k = 1), rest is weighted by 0.
+            rest = paid[0 if c > (st == 0) else (1 if t > (st == 1) else 2)]
             spends[k] = Fraction((total_real - r) * rest[0] + (total_decoy - d) * rest[4]
                                  + sum(map(mul, moved, paid[st])), den)
     return spends

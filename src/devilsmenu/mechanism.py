@@ -165,9 +165,9 @@ class Threshold:
     none. It is the one place where districts are sorted into below, tied
     and above.
 
-    When x moves to y, the new threshold is clamp(y, lo, hi) (moved_tau),
-    and the new c and t are read off the sorted keys, corrected for x and
-    y. So the moved vector is never partitioned.
+    When x moves to y, the new threshold is clamp(y, lo, hi), and the new
+    c and t are read off the sorted keys, corrected for x and y (after).
+    So the moved vector is never partitioned.
     """
 
     __slots__ = ("ranked", "tau", "c", "t", "bounds")
@@ -189,14 +189,11 @@ class Threshold:
         tau = self.tau if tau is None else tau
         return 0 if x < tau else (1 if x == tau else 2)
 
-    def moved_tau(self, x: int, y: int) -> int:
-        """The threshold once one key x moves to y."""
-        lo, hi = self.bounds[self.status(x)]
-        return lo if y < lo else (hi if y > hi else y)
-
     def after(self, x: int, y: int) -> tuple[int, int, int]:
-        """(status code of the mover, c, t) once one key x moves to y."""
-        tau = self.moved_tau(x, y)
+        """(status code of the mover, c, t) once one key x moves to y; with
+        y = x, (status(x), c, t)."""
+        lo, hi = self.bounds[self.status(x)]
+        tau = lo if y < lo else (hi if y > hi else y)
         ranked = self.ranked
         lt = bisect_left(ranked, tau)
         return (self.status(y, tau), lt - (x < tau) + (y < tau),

@@ -36,16 +36,6 @@ from .model import ProfileError, ScanCapExceeded, Scenario
 COMMITMENT_SCAN_CAP = 1_000_000  # (real + 1) * (decoy + 1) splits of a commitment scan
 
 
-@dataclass(frozen=True)
-class SequentialState:
-    """Progress of a sequential run before a round: 1-based round number,
-    districts still in play (original indices), and the rounds bought so far."""
-
-    round: int
-    remaining_districts: tuple[int, ...]
-    purchased_so_far: tuple[Outcome, ...]
-
-
 def _remap_outcome(outcome: Outcome, index_map: tuple[int, ...], total_districts: int) -> Outcome:
     """Lift a residual-scenario outcome back to original district indices."""
     selected = frozenset(index_map[k] for k in outcome.selected)
@@ -60,50 +50,44 @@ def _remap_outcome(outcome: Outcome, index_map: tuple[int, ...], total_districts
     return Outcome(selected, drawn, prices, outcome.expenditure, tuple(acquired))
 
 
-def sequential_rounds(s: Scenario, rng: random.Random):
-    """Yield (state, outcome) per date of a sequential run.
+def run_sequential(s: Scenario, rng: random.Random) -> list[Outcome]:
+    """Buy one district per date, q dates total, four-price menu each round.
 
     Each date reruns the one-shot mechanism with a single-district target on
-    the remaining districts under the target profile (justified by the
-    subgame check below), then removes the district it bought. District
-    indices in states and outcomes refer to the original scenario. Refuses if
-    delta is below the last date's critical value, which is the binding one.
+    the remaining districts under the target profile (justified by
+    verify_subgame_perfect), then removes the district it bought. District
+    indices in the outcomes refer to the original scenario. Refuses if delta
+    is below the last date's critical value, which is the binding one.
     """
     require_delta_at_least(s, minimal_delta(s, sequential=True))
     remaining = tuple(range(s.num_districts))
-    purchased: tuple[Outcome, ...] = ()
-    for round_no in range(1, s.target_count + 1):
-        state = SequentialState(round_no, remaining, purchased)
+    outcomes = []
+    for _ in range(s.target_count):
         residual = s.with_districts([s.districts[i] for i in remaining], target_count=1)
-        profile = CountProfile.sigma_star(residual)
-        outcome = _remap_outcome(execute(residual, profile, rng), remaining,
-                                 s.num_districts)
-        yield state, outcome
+        outcome = _remap_outcome(execute(residual, CountProfile.sigma_star(residual), rng),
+                                 remaining, s.num_districts)
+        outcomes.append(outcome)
         (bought,) = outcome.selected
         remaining = tuple(i for i in remaining if i != bought)
-        purchased = purchased + (outcome,)
-
-
-def run_sequential(s: Scenario, rng: random.Random) -> list[Outcome]:
-    """Buy one district per date, q dates total, four-price menu each round."""
-    return [outcome for _, outcome in sequential_rounds(s, rng)]
+    return outcomes
 
 
 def verify_subgame_perfect(s: Scenario) -> bool:
     """Backward-induction check that every reachable round has a unique equilibrium.
 
     At round r any r-1 districts may already have been bought, so every
-    residual district set of that size is reachable; each must have exactly
-    the target profile as its filtered equilibrium under a single-district
-    target. True iff all residual games pass.
+    residual of k-r+1 districts is reachable; each must have exactly the
+    target profile as its filtered equilibrium under a single-district
+    target. Its verdict does not depend on its district order, so each
+    distinct residual multiset is scanned once, largest first: a scan-cap
+    refusal comes before any verdict. True iff all residual games pass.
     """
     require_delta_at_least(s, minimal_delta(s, sequential=True))
-    indices = range(s.num_districts)
-    for round_no in range(1, s.target_count + 1):
-        for gone in itertools.combinations(indices, round_no - 1):
-            remaining = [i for i in indices if i not in gone]
-            residual = s.with_districts([s.districts[i] for i in remaining], target_count=1)
-            report = enumerate_equilibria(residual, filter_dominated=True)
+    districts = sorted(s.districts, key=lambda d: (d.real_count, d.decoy_count))
+    k = len(districts)
+    for size in range(k, k - s.target_count, -1):
+        for residual in dict.fromkeys(itertools.combinations(districts, size)):
+            report = enumerate_equilibria(s.with_districts(residual, target_count=1))
             if not report.sigma_star_unique:
                 return False
     return True

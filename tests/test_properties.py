@@ -181,6 +181,28 @@ def test_unfiltered_nash_agrees_with_deviation_payoffs(sp):
 
 
 @given(scenario_and_profile())
+@settings(max_examples=50, deadline=None)
+def test_deviation_payoff_equals_oracle_of_the_moved_profile(sp):
+    # deviation_payoff and the Nash check both read Threshold.after; the
+    # oracle classifies the profile with the voter moved from scratch.
+    s, p = sp
+    counts = p.as_counts()
+    for k, row in enumerate(counts):
+        for (voter_type, action), idx in CLASS_SLOTS.items():
+            if not row[idx]:
+                continue
+            for alt in (S1, S2, ABSTAIN):
+                if alt == action:
+                    continue
+                moved = list(row)
+                moved[idx] -= 1
+                moved[CLASS_SLOTS[(voter_type, alt)]] += 1
+                profile = counts[:k] + (tuple(moved),) + counts[k + 1:]
+                assert deviation_payoff(s, p, VoterClass(k, voter_type, action), alt) == \
+                    oracle_expected_payoff(s, profile, k, voter_type, alt)
+
+
+@given(scenario_and_profile())
 @settings(max_examples=60, deadline=None)
 def test_dominance_facts(sp):
     s, p = sp
@@ -384,8 +406,9 @@ STATUS_CODE = {BELOW: 0, TIED: 1, ABOVE: 2}
 
 def check_summary_moves(districts, q) -> set:
     """Check the threshold summary of every reachable slot-one vector, and
-    the status, c and t it gives each +-1 move, against the oracle partition of
-    the vector and of the moved vector. Return the edge cases met."""
+    the status, c and t it gives each move by -1, 0 or +1 step, against the
+    oracle partition of the vector and of the moved vector. Return the edge
+    cases met."""
     k = len(districts)
     steps = _Ctx(make_scenario(districts, 100, 1, 36, q)).steps
     seen = set()
@@ -397,7 +420,7 @@ def check_summary_moves(districts, q) -> set:
             (tau, statuses.count(BELOW), statuses.count(TIED))
         assert [summary.status(x) for x in keys] == [STATUS_CODE[st] for st in statuses]
         for j, (r, d) in enumerate(districts):
-            for dm in (-1, 1):
+            for dm in (-1, 0, 1):
                 if not 0 <= m[j] + dm <= r + d:
                     continue
                 x, y = keys[j], keys[j] + dm * steps[j]

@@ -29,7 +29,7 @@ EXPORTED = (
     "deviation_payoff", "enumerate_equilibria", "expected_expenditure",
     "expected_payoff", "is_nash", "tie_payoff_gap_holds", "verify_sabotage_bound",
     "CommitmentGame", "CommitmentProfile", "run_commitment", "run_lemons",
-    "run_sequential", "sequential_rounds", "verify_commitment_equilibrium",
+    "run_sequential", "verify_commitment_equilibrium",
     "verify_subgame_perfect", "__version__",
 )
 

@@ -1,9 +1,12 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import replay_fair_draw, sym
+from conftest import replay_fair_draw, scenario_for, sym
 from devilsmenu import (
     CommitmentGame,
     CommitmentProfile,
@@ -18,6 +21,8 @@ from devilsmenu import (
     verify_commitment_equilibrium,
     verify_subgame_perfect,
 )
+from devilsmenu import variants
+from devilsmenu.cli import main
 from devilsmenu.mechanism import DECOY, REAL, S1, S2, CountProfile
 from devilsmenu.variants import commitment_payoff
 
@@ -50,14 +55,15 @@ def test_sequential_runs_and_totals():
         assert o.total_acquired == 2
 
 
-def test_sequential_state_tracks_rounds():
-    from devilsmenu import sequential_rounds
+def test_sequential_buys_one_new_district_per_round():
     s = sym(3, 2, 2, 2, delta=Fraction(52), seed=2)
-    k = s.num_districts
-    for state, outcome in sequential_rounds(s, random.Random(s.seed)):
-        assert len(state.remaining_districts) == k - (state.round - 1)
-        assert len(state.purchased_so_far) == state.round - 1
-        assert outcome.selected <= set(state.remaining_districts)
+    bought = []
+    for outcome in run_sequential(s, random.Random(s.seed)):
+        # Only the districts still in play are priced, and one of them is bought.
+        assert {k for k, _, _ in outcome.prices_paid} == set(range(s.num_districts)) - set(bought)
+        (k,) = outcome.selected
+        bought.append(k)
+    assert len(bought) == len(set(bought)) == s.target_count
 
 
 def test_sequential_cheaper_tie_price_than_one_shot():
@@ -117,6 +123,57 @@ def test_subgame_perfect_single_round_is_plain_uniqueness():
     s = sym(2, 1, 1, 1, delta=Fraction(52))
     assert verify_subgame_perfect(s)
     assert enumerate_equilibria(s).sigma_star_unique
+
+
+def record_residuals(monkeypatch, fail=None):
+    """Record each residual that verify_subgame_perfect scans, as its sorted
+    (real, decoy) pairs, and report the residual fail as not unique."""
+    scan = variants.enumerate_equilibria
+    seen = []
+
+    def recorder(residual, *args, **kwargs):
+        pairs = tuple(sorted((d.real_count, d.decoy_count) for d in residual.districts))
+        seen.append(pairs)
+        report = scan(residual, *args, **kwargs)
+        return replace(report, sigma_star_unique=False) if pairs == fail else report
+
+    monkeypatch.setattr(variants, "enumerate_equilibria", recorder)
+    return seen
+
+
+UNEVEN = [(1, 1), (1, 1), (2, 1)]
+UNEVEN_RESIDUALS = [((1, 1), (1, 1), (2, 1)), ((1, 1), (1, 1)), ((1, 1), (2, 1))]
+
+
+@pytest.mark.parametrize("districts, scans", [([(2, 2)] * 3, 2), (UNEVEN, 3)])
+def test_subgame_check_scans_each_residual_multiset_once(monkeypatch, districts, scans):
+    # q = 2 of 3: rounds face residuals of 3 and 2 districts. Scanning every
+    # index subset would scan 1 + 3.
+    s = scenario_for(districts, 2, delta=Fraction(52))
+    seen = record_residuals(monkeypatch)
+    assert verify_subgame_perfect(s)
+    want = {tuple(sorted(c)) for n in (3, 2) for c in combinations(districts, n)}
+    assert len(seen) == len(set(seen)) == len(want) == scans
+    assert set(seen) == want
+    assert [len(r) for r in seen] == sorted((len(r) for r in seen), reverse=True)
+
+
+@pytest.mark.parametrize("fail", UNEVEN_RESIDUALS)
+def test_subgame_check_fails_when_any_round_fails(monkeypatch, fail):
+    seen = record_residuals(monkeypatch, fail)
+    assert not verify_subgame_perfect(scenario_for(UNEVEN, 2, delta=Fraction(52)))
+    assert seen[-1] == fail
+
+
+def test_cli_sequential_claim_fails_when_a_round_fails(monkeypatch, tmp_path, capsys):
+    record_residuals(monkeypatch, UNEVEN_RESIDUALS[-1])
+    path = tmp_path / "uneven.json"
+    path.write_text(json.dumps({
+        "districts": [{"real": r, "decoy": d} for r, d in UNEVEN],
+        "V": 100, "epsilon": 1, "delta": 52, "q": 2, "menu": "weak4",
+    }))
+    assert main(["verify", "--claim", "sequential-spe", "--scenario", str(path)]) == 1
+    assert "a round failed" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------- commitment
