@@ -49,6 +49,7 @@ VARIANTS = "src/devilsmenu/variants.py"
 MECHANISM, EQUILIBRIUM = "src/devilsmenu/mechanism.py", "src/devilsmenu/equilibrium.py"
 T_MECH, T_EQ, T_PROP = "tests/test_mechanism.py", "tests/test_equilibrium.py", "tests/test_properties.py"
 T_CLI = "tests/test_cli.py::test_cli_refuses_before_printing"
+T_PARITY = "tests/test_startup.py::test_main_parses_as_the_fully_configured_parser"
 T_HASH = "tests/test_cli.py::test_profile_parse_error_names_the_first_bad_field_whatever_the_hash_seed"
 T_LONE = ("tests/test_equilibrium.py::test_lone_deviation_spends_match_oracle_on_small_family",
           "tests/test_properties.py::test_lone_deviation_spends_match_oracle")
@@ -63,6 +64,7 @@ COMMITMENT_CHECK = """\
 COMMITMENT_SEED = "    seed = _resolve_seed(args, s)\n"
 COMMITMENT_HEADER = '    _print_scenario_header(s, "commitment", seed)\n'
 COMMITMENT_VERIFY = "        report = verify_commitment_equilibrium(game, s.total_decoy)\n"
+VERDICT = "worth2[st2][CLASS_SLOTS[(voter_type, alt)]] * d > worth[st][idx] * d2"
 SEQUENTIAL_RUN = "    outcomes = run_sequential(s, random.Random(seed))\n"
 SEQUENTIAL_HEADER = '    _print_scenario_header(s, "sequential", seed)\n'
 STATUS_ODDS_CODES = """\
@@ -95,10 +97,10 @@ MUTANTS = [
            '    _print_scenario_header(s, "run", seed)\n    cl = classify(s, profile)\n',
            (f"{T_CLI}[run-commitment-menu]",)),
     Mutant("parser configures a subcommand other than the one invoked", CLI,
-           "(a for a in argv if not", "(a for a in argv[1:] if not",
-           ("tests/test_startup.py::test_main_parses_as_the_fully_configured_parser",)),
+           "build_parser(argv[0] if argv", "build_parser(next(iter(_COMMANDS)) if argv",
+           (T_PARITY,)),
     Mutant("parser configures every subcommand", CLI,
-           "return p if command in (None, name) else None", "return p",
+           "help=_COMMANDS[name]) if command in (None, name) else None", "help=_COMMANDS[name])",
            ("tests/test_startup.py::test_main_configures_only_the_invoked_subcommand",)),
     Mutant("package imports the variants eagerly", INIT,
            '__version__ = "0.1.0"', 'from . import variants\n__version__ = "0.1.0"',
@@ -132,8 +134,7 @@ MUTANTS = [
            "    found.sort()\n", "",
            (f"{T_EQ}::test_orbit_scan_expands_every_arrangement_in_order",)),
     Mutant("spend denominator over one status row only", EQUILIBRIUM,
-           "d = lcm(*(f.denominator for f in paid))",
-           "d = lcm(*(f.denominator for f in paid[:6]))",
+           "return self.scale * t, tuple(paid)", "return self.scale, tuple(paid)",
            (f"{T_EQ}::test_sabotage_bound_symmetric_example",
             f"{T_PROP}::test_strong6_tied_expected_spend_matches_oracle")),
     Mutant("is_nash drops the dominance screen", EQUILIBRIUM,
@@ -177,7 +178,7 @@ MUTANTS = [
            (f"{T_EQ}::test_tie_payoff_gap_holds_on_family_members",
             f"{T_PROP}::test_tie_payoff_gap_matches_its_term_by_term_oracle")),
     Mutant("a missing verdict read as no gain", EQUILIBRIUM,
-           "        return after > self.rows[c, t][2][st][idx]\n", "        return False\n",
+           f"        return {VERDICT}\n", "        return False\n",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
     Mutant("verify checks a scenario of another menu", CLAIMS,
            "if scenario.menu != menu:", "if False:",
@@ -187,8 +188,7 @@ MUTANTS = [
            "    out: list[str] = []\n", "    out: list[str] = []\n    assert s.districts\n",
            ("tests/test_source.py::test_src_has_no_assert_statements",)),
     Mutant("abstainer payoff read as 0 in rows", EQUILIBRIUM,
-           "pay, value = Fraction(0), valuation(voter_type, self.v)",
-           "pay, value = Fraction(0), Fraction(0)",
+           "pay, value = 0, valuation(voter_type, v)", "pay, value = 0, 0",
            (f"{T_EQ}::test_pricing_tables_are_keyed_by_every_pricing_field",
             f"{T_EQ}::test_pricing_tables_fill_each_entry_once")),
     Mutant("Threshold.status ignores its tau", MECHANISM,
@@ -229,6 +229,27 @@ MUTANTS = [
     Mutant("subgame check ignores a failing round", VARIANTS,
            "            if not report.sigma_star_unique:\n                return False\n", "",
            T_ROUNDS),
+    Mutant("tied row weights swapped", EQUILIBRIUM,
+           "for final, odds in status_odds(st, c, t, self.q)]",
+           "for (final, _), (_, odds) in zip(status_odds(st, c, t, self.q),"
+           " reversed(status_odds(st, c, t, self.q)))]",
+           (f"{T_PROP}::test_pricing_rows_equal_their_fraction_reference",)),
+    Mutant("verdict compares numerators over different denominators", EQUILIBRIUM,
+           VERDICT, "worth2[st2][CLASS_SLOTS[(voter_type, alt)]] > worth[st][idx]",
+           (f"{T_EQ}::test_pricing_tables_fill_each_entry_once",)),
+    Mutant("subparser metavar dropped", CLI,
+           "required=True, metavar=metavar)", "required=True)",
+           (T_PARITY, "tests/test_startup.py::test_main_refusals_print_the_full_usage_line")),
+    Mutant("subcommand read from the first non-option word", CLI,
+           "build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)",
+           'build_parser(next((a for a in argv if not a.startswith("-")), None))',
+           (T_PARITY,)),
+    Mutant("payoffs skip the district range check", EQUILIBRIUM,
+           "if not 0 <= who.district < s.num_districts:", "if False:",
+           (f"{T_EQ}::test_payoffs_refuse_a_class_outside_the_scenario",)),
+    Mutant("payoffs skip the voter-class check", EQUILIBRIUM,
+           "if (who.voter_type, action) not in CLASS_SLOTS:", "if False:",
+           (f"{T_EQ}::test_payoffs_refuse_a_class_outside_the_scenario",)),
 ]
 
 

@@ -484,21 +484,35 @@ def _cmd_sweep(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
+# Every subcommand and its help text, in the order the usage line lists them.
+_COMMANDS = {
+    "run": "execute one mechanism run",
+    "enumerate": "exhaustively enumerate pure equilibria",
+    "verify": "run a claim suite; exit 1 if it fails",
+    "sequential": "buy one district per date",
+    "commitment": "run the all-or-nothing districtless variant",
+    "lemons": "buy one good used car from sellers of hidden quality",
+    "sweep": "vary delta or q over a grid and tabulate",
+}
+
+
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI's parser. Every subcommand is registered with its help text;
-    only `command`, or every subcommand when it is None, gets its options,
-    since a call parses the options of one subcommand only."""
+    """The CLI's parser: every subcommand, or only `command`, since a call
+    that names its subcommand parses that one alone."""
     parser = argparse.ArgumentParser(
         prog="devils-menu",
         description="Run price-menu vote-buying mechanisms and verify their "
                     "equilibrium and budget properties on small instances.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # With one subcommand registered, the metavar keeps every command in
+    # the usage line. The full parser leaves it unset: its missing-command
+    # error names the dest, "command", where a metavar would replace it.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    def add(name, help_text):
-        """Register a subcommand; return it if its options are wanted."""
-        p = sub.add_parser(name, help=help_text)
-        return p if command in (None, name) else None
+    def add(name):
+        """Register a subcommand if it is wanted, and return it."""
+        return sub.add_parser(name, help=_COMMANDS[name]) if command in (None, name) else None
 
     def common(p, scenario=True, out=True, workers=False):
         """The shared options a subcommand's handler reads."""
@@ -512,7 +526,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             p.add_argument("--workers", type=int, default=1,
                            help="worker processes for parallelizable loads")
 
-    if p := add("run", "execute one mechanism run"):
+    if p := add("run"):
         common(p, workers=True)
         p.add_argument("--profile", default="sigma-star",
                        help="'sigma-star' or a profile JSON file")
@@ -520,13 +534,13 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                        help="also tally selection frequencies over this many seeded runs")
         p.set_defaults(func=_cmd_run)
 
-    if p := add("enumerate", "exhaustively enumerate pure equilibria"):
+    if p := add("enumerate"):
         common(p)
         p.add_argument("--filter-dominated", choices=("on", "off"), default="on")
         p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP)
         p.set_defaults(func=_cmd_enumerate)
 
-    if p := add("verify", "run a claim suite; exit 1 if it fails"):
+    if p := add("verify"):
         common(p, scenario=False, workers=True)
         p.add_argument("--scenario", default=None,
                        help="check a single scenario instead of a family")
@@ -537,11 +551,11 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--family", choices=("small", "full"), default="small")
         p.set_defaults(func=_cmd_verify)
 
-    if p := add("sequential", "buy one district per date"):
+    if p := add("sequential"):
         common(p)
         p.set_defaults(func=_cmd_sequential)
 
-    if p := add("commitment", "run the all-or-nothing districtless variant"):
+    if p := add("commitment"):
         common(p, out=False)
         p.add_argument("--decoys-to-slot1", type=int, default=0,
                        help="move this many decoys into slot one (sabotage probe)")
@@ -549,7 +563,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                        help="enumerate equilibria instead of running once")
         p.set_defaults(func=_cmd_commitment)
 
-    if p := add("lemons", "buy one good used car from sellers of hidden quality"):
+    if p := add("lemons"):
         p.add_argument("--good", type=int, required=True)
         p.add_argument("--bad", type=int, required=True)
         p.add_argument("--v", default="100", help="good-car valuation (rational)")
@@ -559,7 +573,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=_cmd_lemons)
 
-    if p := add("sweep", "vary delta or q over a grid and tabulate"):
+    if p := add("sweep"):
         common(p)
         p.add_argument("--param", choices=("delta", "q"), required=True)
         p.add_argument("--from", dest="start", required=True, help="grid start (rational)")
@@ -574,9 +588,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The root parser has no option that takes a value, so the first word
-    # that is not an option names the subcommand.
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
+    # Only a first word that names a subcommand builds a parser for it
+    # alone; any other argv (help, a bad option or command, none) gets the
+    # full parser, whose help and errors list every subcommand.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     for flag, low in (("mc", 0), ("workers", 1)):
         if getattr(args, flag, low) < low:

@@ -25,6 +25,7 @@ from .mechanism import (
     REAL,
     S1,
     S2,
+    STATUSES,
     CountProfile,
     Threshold,
     budget_bound,
@@ -89,45 +90,59 @@ class _Memo(dict):
 class _PricingTables:
     """The exact tables of one pricing (menu, q, V, eps, delta), shared by
     every scenario with that pricing; each entry is filled on first lookup.
-    rows[c, t] is (D, paid, worth): paid[code] holds, for a district of that
-    status code, the expected payment to one voter of each class, in the
-    order of a counts tuple, as an integer numerator over the one
-    denominator D, and worth[code] his exact expected payoff. A verdict,
+
+    settled[final status] lists, in the order of a counts tuple, what one
+    voter of each class is paid once his district's status is final, then
+    what he ends up with: integer numerators over scale, the lcm of V's and
+    every price's denominator. rows[c, t] is (D, paid, worth) with
+    D = scale * t: paid[code] holds, for a district of that interim status
+    code, the expected payment to one voter of each class, and worth[code]
+    his expected payoff, each an integer numerator over D. A verdict,
     verdicts[(status code, c, t) before, (status code, c, t) after, move
-    id], is whether the move strictly pays: one comparison of two worths.
+    id], is whether the move strictly pays: two worths compared by
+    cross-multiplying each by the other's denominator.
     """
 
     def __init__(self, menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
                  delta: Fraction):
-        self.q, self.v = q, v
-        self.prices = price_table(menu, v, epsilon, delta)
+        self.q = q
+        prices = price_table(menu, v, epsilon, delta)
+        self.scale = scale = lcm(v.denominator, *(f.denominator for f in prices.values()))
+        self.settled = {}
+        for final in STATUSES:
+            paid, worth = [], []
+            for voter_type, action in CLASS_SLOTS:
+                if action == ABSTAIN:  # no offer: he keeps his ballot
+                    pay, value = 0, valuation(voter_type, v)
+                else:
+                    price = prices[(action, final)]
+                    pay = settle(voter_type, price, 1, v).paid
+                    value = voter_payoff(voter_type, price, v)
+                paid.append(pay.numerator * (scale // pay.denominator))
+                worth.append(value.numerator * (scale // value.denominator))
+            self.settled[final] = paid + worth
         self.rows = _Memo(self._row)
         self.verdicts = _Memo(self._verdict)
 
     def _row(self, ct: tuple[int, int]) -> tuple[int, tuple, tuple]:
+        c, t = ct
         paid, worth = [], []  # by status code, then by class
         for st in (0, 1, 2):
-            odds = status_odds(st, *ct, self.q)
-            for voter_type, action in CLASS_SLOTS:
-                if action == ABSTAIN:  # no offer: he keeps his ballot
-                    pay, value = Fraction(0), valuation(voter_type, self.v)
-                else:
-                    pay = value = Fraction(0)
-                    for final, prob in odds:
-                        price = self.prices[(action, final)]
-                        pay += prob * settle(voter_type, price, 1, self.v).paid
-                        value += prob * voter_payoff(voter_type, price, self.v)
-                paid.append(pay)
-                worth.append(value)
-        d = lcm(*(f.denominator for f in paid))
-        paid = [f.numerator * (d // f.denominator) for f in paid]
-        return d, *(tuple(tuple(col[i:i + 6]) for i in (0, 6, 12)) for col in (paid, worth))
+            # Each final status weighs by its odds times t, an integer: t
+            # when the status is certain, else q - c drawn and t - q + c not.
+            terms = [[odds.numerator * (t // odds.denominator) * x for x in self.settled[final]]
+                     for final, odds in status_odds(st, c, t, self.q)]
+            total = tuple(map(sum, zip(*terms)))
+            paid.append(total[:6])
+            worth.append(total[6:])
+        return self.scale * t, tuple(paid), tuple(worth)
 
     def _verdict(self, key: tuple[int, ...]) -> bool:
         st, c, t, st2, c2, t2, mv = key
         idx, voter_type, _, alt, _ = _MOVES[mv]
-        after = self.rows[c2, t2][2][st2][CLASS_SLOTS[(voter_type, alt)]]
-        return after > self.rows[c, t][2][st][idx]
+        d, _, worth = self.rows[c, t]
+        d2, _, worth2 = self.rows[c2, t2]
+        return worth2[st2][CLASS_SLOTS[(voter_type, alt)]] * d > worth[st][idx] * d2
 
 
 @lru_cache(maxsize=32)
@@ -157,6 +172,17 @@ class _Ctx:
         return [(cnt[0] + cnt[3]) * step for cnt, step in zip(counts, self.steps)]
 
 
+def _check_class(s: Scenario, p: CountProfile, who: VoterClass, new_action: str) -> None:
+    """Raise ProfileError unless p fits s and who, playing either his action
+    or new_action, names a voter class of one of s's districts."""
+    p.check_against(s)
+    if not 0 <= who.district < s.num_districts:
+        raise ProfileError(f"district {who.district} is outside 0..{s.num_districts - 1}")
+    for action in (who.action, new_action):
+        if (who.voter_type, action) not in CLASS_SLOTS:
+            raise ProfileError(f"no voter class {who.voter_type!r} playing {action!r}")
+
+
 def _payoff_after(s: Scenario, p: CountProfile, who: VoterClass, new_action: str) -> Fraction:
     """Payoff of one who-class voter once he alone plays new_action: one
     summary of p's keys, read after his key shifts by his slot-one change."""
@@ -165,7 +191,8 @@ def _payoff_after(s: Scenario, p: CountProfile, who: VoterClass, new_action: str
     x = keys[who.district]
     y = x + ((new_action == S1) - (who.action == S1)) * ctx.steps[who.district]
     st, c, t = Threshold(keys, ctx.tables.q).after(x, y)
-    return ctx.tables.rows[c, t][2][st][CLASS_SLOTS[(who.voter_type, new_action)]]
+    d, _, worth = ctx.tables.rows[c, t]
+    return Fraction(worth[st][CLASS_SLOTS[(who.voter_type, new_action)]], d)
 
 
 def expected_payoff(s: Scenario, p: CountProfile, who: VoterClass) -> Fraction:
@@ -174,14 +201,14 @@ def expected_payoff(s: Scenario, p: CountProfile, who: VoterClass) -> Fraction:
     The class may be empty: the value is what such a voter would get, which
     is what deviation checks evaluate after moving a voter in.
     """
-    p.check_against(s)
+    _check_class(s, p, who, who.action)
     return _payoff_after(s, p, who, who.action)
 
 
 def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: str) -> Fraction:
     """Payoff of one who-class voter after he alone switches to new_action,
     which may carry his district across the below/tied/above boundary."""
-    p.check_against(s)
+    _check_class(s, p, who, new_action)
     if p.as_counts()[who.district][CLASS_SLOTS[(who.voter_type, who.action)]] == 0:
         raise ProfileError(
             f"district {who.district} has no {who.voter_type} voter playing {who.action}"

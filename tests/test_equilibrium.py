@@ -35,7 +35,8 @@ from devilsmenu.equilibrium import (
     single_deviation_profile,
 )
 from devilsmenu.mechanism import (
-    DECOY, REAL, S1, S2, ABSTAIN, CountProfile, price_table, status_odds, voter_payoff,
+    DECOY, REAL, S1, S2, ABSTAIN, CLASS_SLOTS, CountProfile, price_table, settle, status_odds,
+    voter_payoff,
 )
 from oracles import oracle_expected_expenditure, oracle_expected_payoff, per_citizen_equilibria
 
@@ -148,6 +149,22 @@ def test_deviation_requires_occupied_class():
     p = CountProfile.sigma_star(s)
     with pytest.raises(ProfileError):
         deviation_payoff(s, p, VoterClass(0, DECOY, S1), S2)
+
+
+def test_payoffs_refuse_a_class_outside_the_scenario():
+    # District -1 used to answer for the last district (a real voter on
+    # slot one got its 201/2), district 2 raised IndexError and an unknown
+    # type or action KeyError.
+    s = scenario_for([(1, 1), (2, 2)], 1, delta=52)
+    p = CountProfile.sigma_star(s)
+    for who in (VoterClass(-1, REAL, S1), VoterClass(2, REAL, S1), VoterClass(-1, DECOY, S2),
+                VoterClass(0, "ghost", S1), VoterClass(0, REAL, "s3")):
+        with pytest.raises(ProfileError):
+            expected_payoff(s, p, who)
+        with pytest.raises(ProfileError):
+            deviation_payoff(s, p, who, S2 if who.action == S1 else S1)
+    with pytest.raises(ProfileError, match="'s3'"):
+        deviation_payoff(s, p, VoterClass(0, REAL, S1), "s3")
 
 
 # -------------------------------------------------------------------- nash
@@ -388,8 +405,9 @@ def test_pricing_tables_are_keyed_by_every_pricing_field():
 
 def test_pricing_tables_fill_each_entry_once(monkeypatch):
     # Rows and verdicts are filled on first lookup and recorded: a second
-    # scan of the same scenario fills nothing, and every recorded verdict
-    # is a fresh exact comparison of the two payoffs it names.
+    # scan of the same scenario fills nothing, every recorded verdict is a
+    # fresh exact comparison of the two payoffs it names, and every filled
+    # row pays each class its expected payment over the draw.
     fills = Counter()
     for name in ("_row", "_verdict"):
         def counted(tables, key, name=name, fill=getattr(_PricingTables, name)):
@@ -399,11 +417,20 @@ def test_pricing_tables_fill_each_entry_once(monkeypatch):
     s = scenario_for([(1, 2), (2, 1), (2, 2), (1, 1)], 2)
     prices = price_table(s.menu, s.real_value, s.epsilon, s.delta)
 
+    def expected(of, st, c, t, voter_type, action):
+        return sum(prob * of(voter_type, prices[(action, final)], s.real_value)
+                   for final, prob in status_odds(st, c, t, s.target_count))
+
     def payoff(st, c, t, voter_type, action):
         if action == ABSTAIN:
             return s.real_value if voter_type == REAL else 0
-        return sum(prob * voter_payoff(voter_type, prices[(action, final)], s.real_value)
-                   for final, prob in status_odds(st, c, t, s.target_count))
+        return expected(voter_payoff, st, c, t, voter_type, action)
+
+    def paid(st, c, t, voter_type, action):
+        if action == ABSTAIN:
+            return 0
+        return expected(lambda vt, price, v: settle(vt, price, 1, v).paid,
+                        st, c, t, voter_type, action)
 
     _pricing_tables.cache_clear()
     for filtered in (True, False):
@@ -413,8 +440,13 @@ def test_pricing_tables_fill_each_entry_once(monkeypatch):
         assert fills == filled
     assert set(fills.values()) == {1}
     assert {name for name, _ in fills} == {"_row", "_verdict"}
-    verdicts = _pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta).verdicts
+    tables = _pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
+    verdicts = tables.verdicts
     assert len(verdicts) == sum(name == "_verdict" for name, _ in fills)
+    assert len(tables.rows) == sum(name == "_row" for name, _ in fills)
+    for (c, t), (d, paid_rows, _) in tables.rows.items():
+        for st, row in enumerate(paid_rows):
+            assert [Fraction(x, d) for x in row] == [paid(st, c, t, *cls) for cls in CLASS_SLOTS]
     for (st, c, t, st2, c2, t2, mv), gains in verdicts.items():
         _, voter_type, action, alt, _ = _MOVES[mv]
         assert gains == (payoff(st2, c2, t2, voter_type, alt) > payoff(st, c, t, voter_type, action))

@@ -26,12 +26,13 @@ from devilsmenu import (
 )
 from devilsmenu.cli import _mc_batch
 from devilsmenu.equilibrium import (
-    VoterClass, _Ctx, enumerate_equilibria, real_deviation_expenditures,
+    VoterClass, _Ctx, _PricingTables, enumerate_equilibria, real_deviation_expenditures,
     single_deviation_profile,
 )
 from devilsmenu.mechanism import (
     ABSTAIN, CLASS_SLOTS, DECOY, REAL, S1, S2, Classification, CountProfile, Threshold,
-    payments_for_selection, tie_price_floor,
+    payments_for_selection, price_table, settle, status_odds, tie_price_floor, valuation,
+    voter_payoff,
 )
 from devilsmenu.model import MAX_SEED
 from conftest import full_scan, replay_fair_draw
@@ -290,6 +291,43 @@ def test_lone_deviation_spends_match_oracle(s):
             assert spend == oracle_expected_expenditure(s, counts), (k, voter_type)
     assert report.worst == max(report.per_district.values(), default=None)
     assert report.holds == all(x <= report.bound for x in report.per_district.values())
+
+
+@st.composite
+def pricings(draw):
+    """A menu, k districts, q from 1 to k, and non-integer V, eps and delta."""
+    def non_integer(low, high):
+        return draw(st.fractions(min_value=low, max_value=high, max_denominator=9)
+                    .filter(lambda f: f.denominator > 1))
+    k = draw(st.integers(1, 8))
+    return (draw(st.sampled_from(MENUS)), k, draw(st.integers(1, k)), non_integer(10, 200),
+            non_integer(Fraction(1, 9), 5), non_integer(Fraction(1, 9), 200))
+
+
+@given(pricings())
+@settings(max_examples=80, deadline=None)
+def test_pricing_rows_equal_their_fraction_reference(pricing):
+    # Every row a (c, t) of k districts can reach, c below q and c + t at
+    # least q, holds each class's expected payment and payoff over the
+    # draw as integer numerators over its one denominator.
+    menu, k, q, v, eps, delta = pricing
+    tables = _PricingTables(menu, q, v, eps, delta)
+    prices = price_table(menu, v, eps, delta)
+    for c in range(q):
+        for t in range(q - c, k - c + 1):
+            d, paid, worth = tables.rows[c, t]
+            for code in (0, 1, 2):
+                odds = status_odds(code, c, t, q)
+                for (voter_type, action), i in CLASS_SLOTS.items():
+                    if action == ABSTAIN:
+                        want = (0, valuation(voter_type, v))
+                    else:
+                        offers = [(prob, prices[(action, final)]) for final, prob in odds]
+                        want = (sum(prob * settle(voter_type, price, 1, v).paid
+                                    for prob, price in offers),
+                                sum(prob * voter_payoff(voter_type, price, v)
+                                    for prob, price in offers))
+                    assert (Fraction(paid[code][i], d), Fraction(worth[code][i], d)) == want
 
 
 @st.composite

@@ -1,6 +1,6 @@
 """Start-up pays only for what a command runs: the variants and the process
-pool load on first use, and main builds only the invoked subcommand's
-options, with help, usage and error text unchanged."""
+pool load on first use, and main registers only the subcommand that its
+first word names, with help, usage and error text unchanged."""
 
 import argparse
 import os
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from devilsmenu import cli
+from devilsmenu.model import MAX_SEED
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -81,7 +82,7 @@ def _parse(parse, argv):
     *(argv + ["--bogus", "1"] for argv in VALID.values()),
     *([name] for name in VALID),
     ["--bogus-first"] + VALID["run"],
-    ["bogus"], [], ["--help"],
+    ["bogus"], [], ["--help"], ["-h", "run"],
 ])
 def test_main_parses_as_the_fully_configured_parser(argv):
     # main reaches no handler here: each argv asks for help or is refused.
@@ -101,5 +102,19 @@ def test_main_configures_only_the_invoked_subcommand(monkeypatch):
     for name in VALID:
         _parse(cli.main, [name, "--help"])
         sub = next(a for a in built[-1]._actions if isinstance(a, argparse._SubParsersAction))
-        assert list(sub.choices) == list(VALID)
-        assert [n for n, p in sub.choices.items() if len(p._actions) > 1] == [name]
+        assert list(sub.choices) == [name]
+        assert len(sub.choices[name]._actions) > 1
+
+
+@pytest.mark.parametrize("refused, rule", [
+    (["--mc", "-1"], "at least 0"),
+    (["--workers", "0"], "at least 1"),
+    (["--seed", "-1"], f"in 0..{MAX_SEED}"),
+])
+def test_main_refusals_print_the_full_usage_line(refused, rule):
+    # main's own checks refuse after parsing, with the usage line of a
+    # parser that registered only "run"; it still lists every subcommand.
+    code, out, err = _parse(cli.main, VALID["run"] + refused)
+    assert (code, out) == (2, "")
+    assert err == (cli.build_parser().format_usage()
+                   + f"devils-menu: error: argument {refused[0]}: must be {rule}\n")
