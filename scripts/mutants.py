@@ -45,10 +45,11 @@ class Mutant(NamedTuple):
 
 CLAIMS, CLI, INIT = ("src/devilsmenu/claims.py", "src/devilsmenu/cli.py",
                      "src/devilsmenu/__init__.py")
-VARIANTS = "src/devilsmenu/variants.py"
+VARIANTS, MODEL = "src/devilsmenu/variants.py", "src/devilsmenu/model.py"
 MECHANISM, EQUILIBRIUM = "src/devilsmenu/mechanism.py", "src/devilsmenu/equilibrium.py"
 T_MECH, T_EQ, T_PROP = "tests/test_mechanism.py", "tests/test_equilibrium.py", "tests/test_properties.py"
 T_CLI = "tests/test_cli.py::test_cli_refuses_before_printing"
+T_RECORDS = "tests/test_records.py"
 T_PARITY = "tests/test_startup.py::test_main_parses_as_the_fully_configured_parser"
 T_HASH = "tests/test_cli.py::test_profile_parse_error_names_the_first_bad_field_whatever_the_hash_seed"
 T_LONE = ("tests/test_equilibrium.py::test_lone_deviation_spends_match_oracle_on_small_family",
@@ -250,6 +251,23 @@ MUTANTS = [
     Mutant("payoffs skip the voter-class check", EQUILIBRIUM,
            "if (who.voter_type, action) not in CLASS_SLOTS:", "if False:",
            (f"{T_EQ}::test_payoffs_refuse_a_class_outside_the_scenario",)),
+    Mutant("MenuVariant accepts an unknown tag", MODEL,
+           '        if tag not in ("weak4", "strong4", "strong6", "commitment"):\n'
+           '            raise ScenarioFormatError(f"unknown menu variant {tag!r}")\n', "",
+           (f"{T_RECORDS}::test_menu_variant_refuses_bad_fields",
+            f"{T_RECORDS}::test_menu_variant_parse_refuses_bad_text")),
+    Mutant("CommitmentGame accepts a target above its real ballots", VARIANTS,
+           "if not (1 <= purchase_target <= total_real):", "if not 1 <= purchase_target:",
+           (f"{T_RECORDS}::test_commitment_game_refuses_bad_fields",
+            "tests/test_variants.py::test_commitment_game_validation")),
+    Mutant("with_districts keeps the old target count", MODEL,
+           "districts=tuple(districts), target_count=target_count)",
+           "districts=tuple(districts))",
+           ("tests/test_model.py::test_with_districts_keeps_the_pricing_and_takes_the_new_target",
+            *T_ROUNDS)),
+    Mutant("pool handed one call per task", CLAIMS,
+           "chunksize=-(-len(calls) // (4 * workers))", "chunksize=1",
+           ("tests/test_cli.py::test_cli_pool_never_outnumbers_the_cpus",)),
 ]
 
 

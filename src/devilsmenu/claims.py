@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .equilibrium import enumerate_equilibria, tie_payoff_gap_holds, verify_sabotage_bound
 from .mechanism import minimal_delta, require_delta_at_least, tie_price_floor
@@ -38,15 +37,13 @@ def resolve_claim(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     label: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ClaimSuite:
+class ClaimSuite(NamedTuple):
     claim: str
     results: tuple[ClaimResult, ...]
 
@@ -169,13 +166,14 @@ def family_for(claim: str, family: str) -> Iterator[Scenario]:
 def ordered_map(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
     """fn(*args) for each args in calls, results in call order: in a pool of
     min(workers, len(calls), os.cpu_count()) processes when that is more
-    than one, in this process otherwise."""
+    than one, each task a contiguous block of about a quarter of a worker's
+    share of the calls; in this process otherwise."""
     workers = min(workers, len(calls), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(*args) for args in calls]
     import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*calls)))
+        return list(pool.map(fn, *zip(*calls), chunksize=-(-len(calls) // (4 * workers))))
 
 
 def run_claim(

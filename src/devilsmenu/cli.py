@@ -13,7 +13,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -456,9 +455,9 @@ def _cmd_sweep(args) -> int:
     rows = []
     for value in values:
         if args.param == "delta":
-            inst = replace(s, delta=value)
+            inst = s._replace(delta=value)
         else:
-            inst = replace(s, target_count=int(value))
+            inst = s._replace(target_count=int(value))
         violations = validate_scenario(inst)
         if violations:
             rows.append((format_rational(value), approx(value), "no", "", "", "", ""))

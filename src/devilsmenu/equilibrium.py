@@ -9,13 +9,12 @@ ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from math import comb, lcm, prod
 from operator import mul
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .mechanism import (
     ABSTAIN,
@@ -42,8 +41,7 @@ from .model import MenuVariant, ProfileError, ScanCapExceeded, Scenario
 DEFAULT_SCAN_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
-class VoterClass:
+class VoterClass(NamedTuple):
     """Representative-agent handle: one voter of (district, type) playing action."""
 
     district: int
@@ -51,8 +49,7 @@ class VoterClass:
     action: str
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """Result of an exhaustive pure-equilibrium scan."""
 
     equilibria: tuple
@@ -415,8 +412,7 @@ def single_deviation_profile(
     return CountProfile.from_counts(rows)
 
 
-@dataclass(frozen=True)
-class SabotageReport:
+class SabotageReport(NamedTuple):
     """Worst-case cost of a lone decoy defecting to slot one, against the bound."""
 
     per_district: dict[int, Fraction]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 from typing import Iterable, Mapping, NamedTuple
@@ -74,8 +73,7 @@ class ActionCount(NamedTuple):
 CLASS_SLOTS = {tuple(field.split("_")): i for i, field in enumerate(ActionCount._fields)}
 
 
-@dataclass(frozen=True)
-class CountProfile:
+class CountProfile(NamedTuple):
     """Symmetry-reduced strategy profile, one ActionCount per district."""
 
     per_district: tuple[ActionCount, ...]
@@ -116,8 +114,7 @@ class CountProfile:
                 )
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """The below/at/above partition of districts around the threshold ratio.
 
     ratios[k] is district k's slot-one applicants divided by its real-ballot
@@ -366,8 +363,7 @@ def sell_decision(voter_type: str, offered_price: Fraction, v: Fraction) -> bool
     return offered_price > valuation(voter_type, v)
 
 
-@dataclass(frozen=True)
-class ClassPayment:
+class ClassPayment(NamedTuple):
     """Offer made to one (district, type, slot) class and what came of it."""
 
     price: Fraction
@@ -387,8 +383,7 @@ def voter_payoff(voter_type: str, price: Fraction, v: Fraction) -> Fraction:
     return price if sell_decision(voter_type, price, v) else valuation(voter_type, v)
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """Realized run: who was selected, who sold, and what it cost."""
 
     selected: frozenset[int]

@@ -7,9 +7,8 @@ Floats appear only in report formatting and statistical test bands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -71,8 +70,7 @@ def approx(x: Fraction) -> str:
     return f"{float(x):.6g}"
 
 
-@dataclass(frozen=True)
-class DistrictSpec:
+class DistrictSpec(NamedTuple):
     """Ballot counts for one district: how many real, how many decoy."""
 
     real_count: int
@@ -83,8 +81,14 @@ class DistrictSpec:
         return self.real_count + self.decoy_count
 
 
-@dataclass(frozen=True)
-class MenuVariant:
+# typing.NamedTuple forbids __new__ in its own body, so a record that checks
+# its fields holds them in a NamedTuple and checks them in a subclass.
+class _MenuFields(NamedTuple):
+    tag: str
+    target: int | None = None
+
+
+class MenuVariant(_MenuFields):
     """Which price menu the buyer runs.
 
     tags: "weak4" (four prices with a cushion price delta for tied-district
@@ -94,21 +98,17 @@ class MenuVariant:
     variant; carries the purchase target).
     """
 
-    tag: str
-    target: int | None = None
+    __slots__ = ()
 
-    WEAK4: "MenuVariant" = None  # type: ignore[assignment]
-    STRONG4: "MenuVariant" = None  # type: ignore[assignment]
-    STRONG6: "MenuVariant" = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.tag not in ("weak4", "strong4", "strong6", "commitment"):
-            raise ScenarioFormatError(f"unknown menu variant {self.tag!r}")
-        if self.tag == "commitment":
-            if self.target is None or self.target < 1:
+    def __new__(cls, tag: str, target: int | None = None):
+        if tag not in ("weak4", "strong4", "strong6", "commitment"):
+            raise ScenarioFormatError(f"unknown menu variant {tag!r}")
+        if tag == "commitment":
+            if target is None or target < 1:
                 raise ScenarioFormatError("commitment menu needs a positive purchase target")
-        elif self.target is not None:
-            raise ScenarioFormatError(f"menu {self.tag!r} does not take a purchase target")
+        elif target is not None:
+            raise ScenarioFormatError(f"menu {tag!r} does not take a purchase target")
+        return super().__new__(cls, tag, target)
 
     @classmethod
     def commitment(cls, target: int) -> "MenuVariant":
@@ -137,8 +137,7 @@ MenuVariant.STRONG4 = MenuVariant("strong4")
 MenuVariant.STRONG6 = MenuVariant("strong6")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """One fully specified game instance.
 
     real_value is what a real voter's ballot is worth to him; epsilon the
@@ -169,7 +168,7 @@ class Scenario:
 
     def with_districts(self, districts: Sequence[DistrictSpec], target_count: int) -> "Scenario":
         """Same prices and menu on a different district set (used by rounds)."""
-        return replace(self, districts=tuple(districts), target_count=target_count)
+        return self._replace(districts=tuple(districts), target_count=target_count)
 
 
 def make_scenario(

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .equilibrium import EquilibriumReport, enumerate_equilibria
 from .mechanism import (
@@ -93,8 +92,15 @@ def verify_subgame_perfect(s: Scenario) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CommitmentGame:
+# The fields of CommitmentGame, which checks them (as model.MenuVariant does).
+class _CommitmentFields(NamedTuple):
+    total_real: int
+    purchase_target: int
+    real_value: Fraction
+    epsilon: Fraction
+
+
+class CommitmentGame(_CommitmentFields):
     """Districtless all-or-nothing purchase of some of the real ballots.
 
     The buyer wants purchase_target real ballots out of total_real. If slot
@@ -102,25 +108,23 @@ class CommitmentGame:
     buying nothing from that slot.
     """
 
-    total_real: int
-    purchase_target: int
-    real_value: Fraction
-    epsilon: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.total_real < 1:
+    def __new__(cls, total_real: int, purchase_target: int, real_value: Fraction,
+                epsilon: Fraction):
+        if total_real < 1:
             raise ValueError("need at least one real ballot")
-        if not (1 <= self.purchase_target <= self.total_real):
+        if not (1 <= purchase_target <= total_real):
             raise ValueError(
-                f"purchase target must be in 1..{self.total_real}, "
-                f"got {self.purchase_target}"
+                f"purchase target must be in 1..{total_real}, "
+                f"got {purchase_target}"
             )
-        if self.real_value <= 0 or self.epsilon <= 0:
+        if real_value <= 0 or epsilon <= 0:
             raise ValueError("V and epsilon must be positive")
+        return super().__new__(cls, total_real, purchase_target, real_value, epsilon)
 
 
-@dataclass(frozen=True)
-class CommitmentProfile:
+class CommitmentProfile(NamedTuple):
     """Applicant counts per (type, slot); everyone applies for some slot."""
 
     real_s1: int
@@ -137,8 +141,7 @@ class CommitmentProfile:
         return cls(game.total_real, 0, 0, n_decoy)
 
 
-@dataclass(frozen=True)
-class CommitmentOutcome:
+class CommitmentOutcome(NamedTuple):
     """Realized run of the all-or-nothing mechanism."""
 
     overflow: bool
@@ -268,8 +271,7 @@ def verify_commitment_equilibrium(
     )
 
 
-@dataclass(frozen=True)
-class LemonsOutcome:
+class LemonsOutcome(NamedTuple):
     """One run of the used-car purchase: whether a car was bought, and which kind."""
 
     purchased: bool

@@ -380,10 +380,11 @@ def test_cli_two_workers_match_one(tmp_path, capsys, monkeypatch, argv):
     ["verify", "--claim", "thm1"],
 ])
 def test_cli_pool_never_outnumbers_the_cpus(tmp_path, capsys, monkeypatch, argv):
-    # A stand-in pool records the size it is asked for and maps in this
-    # process, so no process starts whatever --workers asks for.
+    # A stand-in pool records the size it is asked for and the chunk size
+    # it is handed, and maps in this process, so no process starts whatever
+    # --workers asks for.
     import concurrent.futures
-    asked = []
+    asked, chunks = [], []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -395,7 +396,8 @@ def test_cli_pool_never_outnumbers_the_cpus(tmp_path, capsys, monkeypatch, argv)
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -407,6 +409,8 @@ def test_cli_pool_never_outnumbers_the_cpus(tmp_path, capsys, monkeypatch, argv)
         outputs.append((capsys.readouterr().out, csv.read_bytes()))
     assert outputs[0] == outputs[1]
     assert asked == [3]
+    # each worker is handed a few blocks of calls, not one call per task
+    assert len(chunks) == 1 and chunks[0] > 1
 
 
 @pytest.mark.parametrize("doc, rows, expected", [

@@ -47,6 +47,20 @@ def test_menu_variant_parse():
         MenuVariant.parse("commitment:0")
 
 
+def test_menu_variant_has_two_fields():
+    assert repr(MenuVariant.WEAK4) == "MenuVariant(tag='weak4', target=None)"
+    with pytest.raises(TypeError):
+        MenuVariant("weak4", None, MenuVariant.STRONG4)
+
+
+def test_with_districts_keeps_the_pricing_and_takes_the_new_target():
+    s = make_scenario([(2, 1), (1, 2), (3, 3)], 100, 1, 36, 2, budget=7, seed=5)
+    sub = s.with_districts([DistrictSpec(3, 3), DistrictSpec(2, 1)], 1)
+    assert sub.districts == (DistrictSpec(3, 3), DistrictSpec(2, 1))
+    assert sub.target_count == 1
+    assert sub == make_scenario([(3, 3), (2, 1)], 100, 1, 36, 1, budget=7, seed=5)
+
+
 def test_validate_accepts_spec_example():
     # k=3, q=1, V=100, eps=1, delta=36: 2*1 < 36 <= 99 holds.
     s = make_scenario([(2, 2)] * 3, 100, 1, 36, 1)

@@ -37,7 +37,8 @@ EXPORTED = (
 PROBE = f"""
 import sys
 import devilsmenu, devilsmenu.cli
-print(sorted(m for m in ("devilsmenu.variants", "concurrent.futures") if m in sys.modules))
+print(sorted(m for m in ("devilsmenu.variants", "concurrent.futures", "dataclasses")
+             if m in sys.modules))
 from devilsmenu import {", ".join(EXPORTED)}
 from devilsmenu import variants
 print(run_lemons is variants.run_lemons)

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -135,7 +134,7 @@ def record_residuals(monkeypatch, fail=None):
         pairs = tuple(sorted((d.real_count, d.decoy_count) for d in residual.districts))
         seen.append(pairs)
         report = scan(residual, *args, **kwargs)
-        return replace(report, sigma_star_unique=False) if pairs == fail else report
+        return report._replace(sigma_star_unique=False) if pairs == fail else report
 
     monkeypatch.setattr(variants, "enumerate_equilibria", recorder)
     return seen
