@@ -200,7 +200,7 @@ MUTANTS = [
            "got = self[key] = self.fill(key)", "got = self.fill(key)",
            (f"{T_EQ}::test_pricing_tables_fill_each_entry_once",)),
     Mutant("the pool takes as many workers as asked", CLAIMS,
-           "    workers = min(workers, len(calls), os.cpu_count() or 1)\n", "",
+           "return min(workers, calls, os.cpu_count() or 1)", "return workers",
            ("tests/test_cli.py::test_cli_pool_never_outnumbers_the_cpus",)),
     Mutant("profile fields read in set order", CLI,
            "for key in ActionCount._fields]", "for key in set(ActionCount._fields)]",
@@ -268,6 +268,14 @@ MUTANTS = [
     Mutant("pool handed one call per task", CLAIMS,
            "chunksize=-(-len(calls) // (4 * workers))", "chunksize=1",
            ("tests/test_cli.py::test_cli_pool_never_outnumbers_the_cpus",)),
+    Mutant("bottom cut before the copies of the (q+1)-th smallest key", MECHANISM,
+           "bisect_right(ranked, ranked[q])", "bisect_left(ranked, ranked[q])",
+           (f"{T_PROP}::test_threshold_of_the_bottom_equals_threshold_of_all_keys",)),
+    Mutant("district verdict memoized by its key, not its option", EQUILIBRIUM,
+           "    for x, (moves, _, oid) in zip(keys, options):\n",
+           "    for x, (moves, _, _) in zip(keys, options):\n        oid = x\n",
+           (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",
+            f"{T_PROP}::test_orbit_scan_matches_per_citizen_oracle")),
 ]
 
 

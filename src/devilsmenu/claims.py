@@ -163,12 +163,18 @@ def family_for(claim: str, family: str) -> Iterator[Scenario]:
     return menu_family(_CLAIMS[claim][0], **(_SMALL if family == "small" else {}))
 
 
+def pool_size(workers: int, calls: int) -> int:
+    """The number of processes ordered_map runs that many calls on: workers,
+    but never more than the calls or the CPUs."""
+    return min(workers, calls, os.cpu_count() or 1)
+
+
 def ordered_map(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
     """fn(*args) for each args in calls, results in call order: in a pool of
-    min(workers, len(calls), os.cpu_count()) processes when that is more
-    than one, each task a contiguous block of about a quarter of a worker's
-    share of the calls; in this process otherwise."""
-    workers = min(workers, len(calls), os.cpu_count() or 1)
+    pool_size(workers, len(calls)) processes when that is more than one,
+    each task a contiguous block of about a quarter of a worker's share of
+    the calls; in this process otherwise."""
+    workers = pool_size(workers, len(calls))
     if workers <= 1:
         return [fn(*args) for args in calls]
     import concurrent.futures

@@ -285,7 +285,9 @@ def _mc_batch(cl: Classification, q: int, seed: int, lo: int, hi: int) -> list[i
 
 
 def _mc_counts(cl: Classification, q: int, seed: int, runs: int, workers: int) -> list[int]:
-    chunk = -(-runs // workers)
+    """Selection counts over runs 0..runs-1, one contiguous batch of runs
+    per process of the pool that ordered_map starts for workers."""
+    chunk = -(-runs // claims_mod.pool_size(workers, runs))
     batches = [(cl, q, seed, lo, min(lo + chunk, runs)) for lo in range(0, runs, chunk)]
     return [sum(col) for col in zip(*claims_mod.ordered_map(_mc_batch, batches, workers))]
 

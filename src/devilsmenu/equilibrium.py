@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, count, product
 from math import comb, lcm, prod
 from operator import mul
 from typing import Iterator, NamedTuple, Optional
@@ -213,27 +213,48 @@ def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: 
     return _payoff_after(s, p, who, new_action)
 
 
-def _compiled(ctx: _Ctx, k: int, row: tuple, moves: tuple) -> tuple:
+def _compiled(ctx: _Ctx, k: int, row: tuple, moves: tuple, oid: int) -> tuple:
     """A counts row of district k as the Nash check reads it: (its slot-one
     key x, its option), the option being ((move id, key y after the move)
-    per move of an occupied class, the row)."""
+    per move of an occupied class, the row, oid). oid names the option
+    within one memo of _is_nash_counts, so no two options of a scan share it."""
     step = ctx.steps[k]
     x = (row[0] + row[3]) * step
-    return x, (tuple((mv, x + dm * step) for mv, idx, dm in moves if row[idx]), row)
+    return x, (tuple((mv, x + dm * step) for mv, idx, dm in moves if row[idx]), row, oid)
 
 
-def _is_nash_counts(tables: _PricingTables, options: tuple, keys: tuple) -> bool:
+def _gains(verdicts: _Memo, summary: Threshold, x: int, moves: tuple) -> bool:
+    """Whether a district of key x, in a profile of that summary, has a
+    strictly gaining move among moves."""
+    st, c, t, after = summary.status(x), summary.c, summary.t, summary.after
+    for mv, y in moves:
+        if verdicts[(st, c, t, *after(x, y), mv)]:
+            return True
+    return False
+
+
+def _is_nash_counts(tables: _PricingTables, memo: dict, options: tuple, keys: tuple) -> bool:
     """The Nash check of one profile, given as a compiled option and a
     slot-one key per district. The verdict does not depend on the order of
-    the districts."""
-    summary = Threshold(keys, tables.q)
-    c, t, status, after = summary.c, summary.t, summary.status, summary.after
-    verdicts = tables.verdicts
-    for x, (moves, _) in zip(keys, options):
-        st = status(x)
-        for mv, y in moves:
-            if verdicts[(st, c, t, *after(x, y), mv)]:
-                return False
+    the districts.
+
+    A district's verdict depends on the others only through the bottom of
+    the keys (Threshold.bottom), so memo, which its caller owns for one
+    scan, holds per bottom its Threshold and, per option id, whether a
+    district of that option gains; a profile whose bottom was seen costs
+    a sort, a cut and a lookup per district checked.
+    """
+    bottom = Threshold.bottom(keys, tables.q)
+    seen = memo.get(bottom)
+    if seen is None:
+        seen = memo[bottom] = Threshold(bottom, tables.q), {}
+    summary, gains = seen
+    for x, (moves, _, oid) in zip(keys, options):
+        gain = gains.get(oid)
+        if gain is None:
+            gain = gains[oid] = _gains(tables.verdicts, summary, x, moves)
+        if gain:
+            return False
     return True
 
 
@@ -251,8 +272,8 @@ def is_nash(s: Scenario, p: CountProfile, filter_dominated: bool = True) -> bool
     if filter_dominated and any(cnt[1] or cnt[2] or cnt[5] for cnt in counts):
         return False  # off the dominance screen, so not a profile of the filtered game
     moves = _FILTERED_MOVES if filter_dominated else _ALL_MOVES
-    keys, options = zip(*(_compiled(ctx, k, row, moves) for k, row in enumerate(counts)))
-    return _is_nash_counts(ctx.tables, options, keys)
+    keys, options = zip(*(_compiled(ctx, k, row, moves, k) for k, row in enumerate(counts)))
+    return _is_nash_counts(ctx.tables, {}, options, keys)
 
 
 def _distinct_permutations(items: tuple) -> Iterator[tuple]:
@@ -305,7 +326,9 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
 
     Each orbit element is compiled once as (options, keys), so a
     representative is the concatenation of its head part, joined once per
-    element of the last orbit, and that orbit's element.
+    element of the last orbit, and that orbit's element. Every option gets
+    its own id, and one memo of _is_nash_counts serves the whole scan and
+    ends with it.
     """
     order = [k for ks, _, _ in groups for k in ks]
     place = sorted(range(len(order)), key=order.__getitem__)  # district -> group-order position
@@ -314,12 +337,13 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     # parts, so its part of a representative starts with the split with
     # the most voters on slot one, whose moves reject the most candidates
     # of the filtered game. The verdict does not depend on the order.
-    orbits = []
+    orbits, ids = [], count()
     for ks, reals, decoys in groups:
-        compiled = [_compiled(ctx, ks[0], rc + dc, moves) for rc in reals for dc in decoys]
+        compiled = [_compiled(ctx, ks[0], rc + dc, moves, next(ids))
+                    for rc in reals for dc in decoys]
         orbits.append([(tuple(option for _, option in combo), tuple(x for x, _ in combo))
                        for combo in combinations_with_replacement(compiled, len(ks))])
-    tables = ctx.tables
+    tables, memo = ctx.tables, {}
     found = []
     *head, last = orbits
     for part in product(*head):
@@ -328,7 +352,7 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
             head_options += options
             head_keys += keys
         for element in last:
-            if _is_nash_counts(tables, head_options + element[0], head_keys + element[1]):
+            if _is_nash_counts(tables, memo, head_options + element[0], head_keys + element[1]):
                 # The arrangements need each orbit's rows in ascending order.
                 rows = [tuple(option[1] for option in reversed(orbit_options))
                         for orbit_options, _ in (*part, element)]
@@ -352,7 +376,8 @@ def enumerate_equilibria(
     district: they fail the dominance screen whatever the decoys do, so
     they are rejected wholesale. Unfiltered, every profile is a candidate.
     Either way one candidate per orbit of identical districts runs the
-    deviation checks, and candidates_checked counts those.
+    Nash check, and candidates_checked counts those representatives, not
+    the Threshold builds or district verdicts the scan's memo saves.
     """
     ctx = _Ctx(s)
     by_counts: dict[tuple[int, int], list[int]] = {}

@@ -165,9 +165,21 @@ class Threshold:
     When x moves to y, the new threshold is clamp(y, lo, hi), and the new
     c and t are read off the sorted keys, corrected for x and y (after).
     So the moved vector is never partitioned.
+
+    Nothing here reads a key above the (q+1)-th smallest: the moved
+    threshold never exceeds it, and a larger key is above either way. So
+    the summary of bottom(keys, q) agrees with that of keys on tau, c, t,
+    bounds, and status and after of every key.
     """
 
     __slots__ = ("ranked", "tau", "c", "t", "bounds")
+
+    @staticmethod
+    def bottom(keys: Iterable[int], q: int) -> tuple[int, ...]:
+        """The keys sorted, up to and including every copy of the (q+1)-th
+        smallest; all of them when there are only q."""
+        ranked = sorted(keys)
+        return tuple(ranked[:bisect_right(ranked, ranked[q])] if q < len(ranked) else ranked)
 
     def __init__(self, keys: Iterable[int], q: int):
         self.ranked = ranked = sorted(keys)

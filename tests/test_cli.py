@@ -358,13 +358,15 @@ MIXED_ROWS = [{"real_s1": 1, "real_s2": 1, "decoy_s2": 2},
 @pytest.mark.parametrize("argv", [
     ["verify", "--claim", "weak4-unique", "--family", "small"],
     ["run", "--scenario", str(SHIPPED), "--mc", "500"],
-    # 7 runs split into chunks of 4 + 3 and 3 + 3 + 1
+    # 7 runs split into one batch per process: 4 + 3 on two, 3 + 3 + 1 on three
+    # (the test reports three CPUs, so both splits run on any machine)
     ["run", "--scenario", "mixed.json", "--profile", "mixed-profile.json", "--mc", "7"],
     # the pool and the variants load on first use, in the workers too
     ["verify", "--claim", "sequential-spe", "--family", "small"],
 ])
 def test_cli_two_workers_match_one(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     write(tmp_path, MIXED, "mixed.json")
     write(tmp_path, {"districts": MIXED_ROWS}, "mixed-profile.json")
     outputs = []
@@ -380,11 +382,11 @@ def test_cli_two_workers_match_one(tmp_path, capsys, monkeypatch, argv):
     ["verify", "--claim", "thm1"],
 ])
 def test_cli_pool_never_outnumbers_the_cpus(tmp_path, capsys, monkeypatch, argv):
-    # A stand-in pool records the size it is asked for and the chunk size
-    # it is handed, and maps in this process, so no process starts whatever
-    # --workers asks for.
+    # A stand-in pool records the size it is asked for and the tasks and
+    # chunk size it is handed, and maps in this process, so no process
+    # starts whatever --workers asks for.
     import concurrent.futures
-    asked, chunks = [], []
+    asked, handed = [], []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -397,7 +399,7 @@ def test_cli_pool_never_outnumbers_the_cpus(tmp_path, capsys, monkeypatch, argv)
             return False
 
         def map(self, fn, *iterables, chunksize=1):
-            chunks.append(chunksize)
+            handed.append((len(iterables[0]), chunksize))
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -409,8 +411,11 @@ def test_cli_pool_never_outnumbers_the_cpus(tmp_path, capsys, monkeypatch, argv)
         outputs.append((capsys.readouterr().out, csv.read_bytes()))
     assert outputs[0] == outputs[1]
     assert asked == [3]
+    [(tasks, chunk)] = handed
     # each worker is handed a few blocks of calls, not one call per task
-    assert len(chunks) == 1 and chunks[0] > 1
+    assert -(-tasks // chunk) <= 4 * 3
+    if "--mc" in argv:
+        assert tasks <= 3  # one batch of runs per process, not one per worker asked for
 
 
 @pytest.mark.parametrize("doc, rows, expected", [

@@ -24,6 +24,7 @@ from devilsmenu import (
     tie_payoff_gap_holds,
     verify_sabotage_bound,
 )
+from devilsmenu import equilibrium
 from devilsmenu.claims import check_instance, family_for, run_claim
 from devilsmenu.equilibrium import (
     VoterClass,
@@ -35,8 +36,8 @@ from devilsmenu.equilibrium import (
     single_deviation_profile,
 )
 from devilsmenu.mechanism import (
-    DECOY, REAL, S1, S2, ABSTAIN, CLASS_SLOTS, CountProfile, price_table, settle, status_odds,
-    voter_payoff,
+    DECOY, REAL, S1, S2, ABSTAIN, CLASS_SLOTS, CountProfile, Threshold, price_table, settle,
+    status_odds, voter_payoff,
 )
 from oracles import oracle_expected_expenditure, oracle_expected_payoff, per_citizen_equilibria
 
@@ -451,6 +452,34 @@ def test_pricing_tables_fill_each_entry_once(monkeypatch):
         _, voter_type, action, alt, _ = _MOVES[mv]
         assert gains == (payoff(st2, c2, t2, voter_type, alt) > payoff(st, c, t, voter_type, action))
     _pricing_tables.cache_clear()  # drop tables that hold the counting fills
+
+
+def test_nash_memo_builds_one_threshold_per_bottom(monkeypatch):
+    # One scan builds one Threshold per distinct bottom of its
+    # representatives' keys and evaluates one district verdict per
+    # distinct (bottom, option) it reaches; the memo ends with the scan,
+    # so a second scan builds them all again.
+    builds, gains = Counter(), Counter()
+    build = Threshold.__init__
+
+    def counted_build(summary, keys, q):
+        builds[tuple(keys)] += 1
+        build(summary, keys, q)
+
+    def counted_gains(verdicts, summary, x, moves, gains_of=equilibrium._gains):
+        gains[tuple(summary.ranked), x, moves] += 1
+        return gains_of(verdicts, summary, x, moves)
+
+    monkeypatch.setattr(Threshold, "__init__", counted_build)
+    monkeypatch.setattr(equilibrium, "_gains", counted_gains)
+    wide = scenario_for([(3, 4)] * 3 + [(2, 5)] * 2 + [(4, 3)] * 2, 3)
+    for _ in range(2):
+        builds.clear()
+        gains.clear()
+        report = enumerate_equilibria(wide)
+        assert report.candidates_checked == 7350 and report.sigma_star_unique
+        assert len(builds) == sum(builds.values()) == 448
+        assert len(gains) == sum(gains.values()) == 874
 
 
 def test_no_scenario_state_outlives_the_families():

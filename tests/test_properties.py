@@ -503,6 +503,23 @@ def test_threshold_summary_meets_its_edge_cases():
     assert seen == {"q = k", "t = 1", "no key above tau", "no key below tau", "tau' = y"}
 
 
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=9), st.data())
+@settings(max_examples=200, deadline=None)
+def test_threshold_of_the_bottom_equals_threshold_of_all_keys(keys, data):
+    # The Nash check memoizes verdicts per bottom, so the summary of the
+    # bottom must agree with the summary of every key, at every key and
+    # at every move near it. Keys from 0..4 tie often.
+    q = data.draw(st.integers(1, len(keys)))
+    bottom = Threshold.bottom(keys, q)
+    assert bottom == tuple(sorted(keys))[:len(bottom)]
+    full, cut = Threshold(keys, q), Threshold(bottom, q)
+    assert (cut.tau, cut.c, cut.t, cut.bounds) == (full.tau, full.c, full.t, full.bounds)
+    for x in set(keys):
+        assert cut.status(x) == full.status(x)
+        for y in range(x - 2, x + 3):
+            assert cut.after(x, y) == full.after(x, y), (keys, q, x, y)
+
+
 @given(repeated_districts(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_shuffling_districts_permutes_the_equilibria(sf, data):
