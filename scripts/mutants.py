@@ -51,6 +51,8 @@ T_MECH, T_EQ, T_PROP = "tests/test_mechanism.py", "tests/test_equilibrium.py", "
 T_CLI = "tests/test_cli.py::test_cli_refuses_before_printing"
 T_RECORDS = "tests/test_records.py"
 T_PARITY = "tests/test_startup.py::test_main_parses_as_the_fully_configured_parser"
+T_READER = "tests/test_cli_reader.py"
+T_AGREES = f"{T_READER}::test_reader_agrees_with_argparse_whenever_it_reads"
 T_HASH = "tests/test_cli.py::test_profile_parse_error_names_the_first_bad_field_whatever_the_hash_seed"
 T_LONE = ("tests/test_equilibrium.py::test_lone_deviation_spends_match_oracle_on_small_family",
           "tests/test_properties.py::test_lone_deviation_spends_match_oracle")
@@ -101,7 +103,7 @@ MUTANTS = [
            "build_parser(argv[0] if argv", "build_parser(next(iter(_COMMANDS)) if argv",
            (T_PARITY,)),
     Mutant("parser configures every subcommand", CLI,
-           "help=_COMMANDS[name]) if command in (None, name) else None", "help=_COMMANDS[name])",
+           "        if command not in (None, name):\n            continue\n", "",
            ("tests/test_startup.py::test_main_configures_only_the_invoked_subcommand",)),
     Mutant("package imports the variants eagerly", INIT,
            '__version__ = "0.1.0"', 'from . import variants\n__version__ = "0.1.0"',
@@ -276,6 +278,20 @@ MUTANTS = [
            "    for x, (moves, _, _) in zip(keys, options):\n        oid = x\n",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",
             f"{T_PROP}::test_orbit_scan_matches_per_citizen_oracle")),
+    Mutant("reader skips the choices check", CLI,
+           "if option.choices is not None and value not in option.choices:", "if False:",
+           (f"{T_READER}::test_reader_leaves_other_calls_to_argparse", T_AGREES)),
+    Mutant("reader accepts a value starting with -", CLI,
+           'if value is None or value.startswith("-"):', "if value is None:",
+           (f"{T_READER}::test_reader_leaves_other_calls_to_argparse",
+            f"{T_READER}::test_malformed_values_are_refused_by_argparse", T_AGREES)),
+    Mutant("reader skips the required check", CLI,
+           "if any(o.required and o.dest not in given for o in spec.options):", "if False:",
+           (f"{T_READER}::test_reader_leaves_other_calls_to_argparse", T_AGREES)),
+    Mutant("reader calls int() without the digit guard", CLI,
+           "            if not (value.isascii() and value.isdigit()):\n                return None\n",
+           "",
+           (f"{T_READER}::test_reader_takes_only_ascii_digits_that_int_reads",)),
 ]
 
 

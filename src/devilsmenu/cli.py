@@ -7,7 +7,6 @@ stdout and CSV bytes; wall time goes to stderr only.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import random
@@ -15,7 +14,8 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import claims as claims_mod
 from .equilibrium import (
@@ -51,6 +51,9 @@ from .model import (
     scenario_warnings,
     validate_scenario,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 SCENARIO_KEYS = {"districts", "V", "epsilon", "delta", "q", "budget", "menu", "seed"}
 DISTRICT_KEYS = {"real", "decoy"}
@@ -485,21 +488,86 @@ def _cmd_sweep(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
-# Every subcommand and its help text, in the order the usage line lists them.
+class _Option(NamedTuple):
+    """One long option of a subcommand. Its type is str or int for an
+    option that takes a value, or bool for a store-true flag that takes none."""
+
+    flag: str
+    dest: str
+    type: type
+    default: object
+    choices: Optional[tuple[str, ...]]
+    required: bool
+    help: Optional[str]
+
+
+def _option(flag: str, type: type = str, default: object = None, *, dest: Optional[str] = None,
+            choices: Optional[tuple[str, ...]] = None, required: bool = False,
+            help: Optional[str] = None) -> _Option:
+    return _Option(flag, dest or flag[2:].replace("-", "_"), type, default, choices,
+                   required, help)
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: Callable
+    options: tuple[_Option, ...]
+
+
+_SCENARIO = _option("--scenario", required=True, help="scenario JSON file")
+_SEED = _option("--seed", int, help="override the scenario seed")
+_OUT = _option("--out", help="write a CSV report here")
+_WORKERS = _option("--workers", int, 1, help="worker processes for parallelizable loads")
+_SCAN = (_option("--filter-dominated", default="on", choices=("on", "off")),
+         _option("--scan-cap", int, DEFAULT_SCAN_CAP))
+
+# Every subcommand, in the order the usage line lists them: its help text,
+# its handler and its options in the order the help lists them. Both
+# readers of a call read this table: build_parser registers it with
+# argparse, and _read_args reads a well-formed call without a parser.
 _COMMANDS = {
-    "run": "execute one mechanism run",
-    "enumerate": "exhaustively enumerate pure equilibria",
-    "verify": "run a claim suite; exit 1 if it fails",
-    "sequential": "buy one district per date",
-    "commitment": "run the all-or-nothing districtless variant",
-    "lemons": "buy one good used car from sellers of hidden quality",
-    "sweep": "vary delta or q over a grid and tabulate",
+    "run": _Command("execute one mechanism run", _cmd_run, (
+        _SCENARIO, _SEED, _OUT, _WORKERS,
+        _option("--profile", default="sigma-star", help="'sigma-star' or a profile JSON file"),
+        _option("--mc", int, 0,
+                help="also tally selection frequencies over this many seeded runs"))),
+    "enumerate": _Command("exhaustively enumerate pure equilibria", _cmd_enumerate,
+                          (_SCENARIO, _SEED, _OUT) + _SCAN),
+    "verify": _Command("run a claim suite; exit 1 if it fails", _cmd_verify, (
+        _OUT, _WORKERS,
+        _option("--scenario", help="check a single scenario instead of a family"),
+        _option("--claim", required=True,
+                help="weak4-unique|strong6-unique|strong4-sigma-star|"
+                     "sabotage-bound|sequential-spe (short aliases: "
+                     "thm1|thm2|prop2|cor1|prop1)"),
+        _option("--family", default="small", choices=("small", "full")))),
+    "sequential": _Command("buy one district per date", _cmd_sequential,
+                           (_SCENARIO, _SEED, _OUT)),
+    "commitment": _Command("run the all-or-nothing districtless variant", _cmd_commitment, (
+        _SCENARIO, _SEED,
+        _option("--decoys-to-slot1", int, 0,
+                help="move this many decoys into slot one (sabotage probe)"),
+        _option("--verify", bool, False, help="enumerate equilibria instead of running once"))),
+    "lemons": _Command("buy one good used car from sellers of hidden quality", _cmd_lemons, (
+        _option("--good", int, required=True),
+        _option("--bad", int, required=True),
+        _option("--v", default="100", help="good-car valuation (rational)"),
+        _option("--epsilon", default="1", help="price unit (rational)"),
+        _option("--bad-to-slot1", int, 0, help="bad sellers defecting into slot one"),
+        _option("--seed", int, 0))),
+    "sweep": _Command("vary delta or q over a grid and tabulate", _cmd_sweep, (
+        _SCENARIO, _SEED, _OUT,
+        _option("--param", choices=("delta", "q"), required=True),
+        _option("--from", dest="start", required=True, help="grid start (rational)"),
+        _option("--to", dest="stop", required=True, help="grid end (rational)"),
+        _option("--steps", int, required=True, help="number of grid points")) + _SCAN),
 }
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The CLI's parser: every subcommand, or only `command`, since a call
     that names its subcommand parses that one alone."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="devils-menu",
         description="Run price-menu vote-buying mechanisms and verify their "
@@ -510,95 +578,74 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     # error names the dest, "command", where a metavar would replace it.
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def add(name):
-        """Register a subcommand if it is wanted, and return it."""
-        return sub.add_parser(name, help=_COMMANDS[name]) if command in (None, name) else None
-
-    def common(p, scenario=True, out=True, workers=False):
-        """The shared options a subcommand's handler reads."""
-        if scenario:
-            p.add_argument("--scenario", required=True, help="scenario JSON file")
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the scenario seed")
-        if out:
-            p.add_argument("--out", default=None, help="write a CSV report here")
-        if workers:
-            p.add_argument("--workers", type=int, default=1,
-                           help="worker processes for parallelizable loads")
-
-    if p := add("run"):
-        common(p, workers=True)
-        p.add_argument("--profile", default="sigma-star",
-                       help="'sigma-star' or a profile JSON file")
-        p.add_argument("--mc", type=int, default=0,
-                       help="also tally selection frequencies over this many seeded runs")
-        p.set_defaults(func=_cmd_run)
-
-    if p := add("enumerate"):
-        common(p)
-        p.add_argument("--filter-dominated", choices=("on", "off"), default="on")
-        p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP)
-        p.set_defaults(func=_cmd_enumerate)
-
-    if p := add("verify"):
-        common(p, scenario=False, workers=True)
-        p.add_argument("--scenario", default=None,
-                       help="check a single scenario instead of a family")
-        p.add_argument("--claim", required=True,
-                       help="weak4-unique|strong6-unique|strong4-sigma-star|"
-                            "sabotage-bound|sequential-spe (short aliases: "
-                            "thm1|thm2|prop2|cor1|prop1)")
-        p.add_argument("--family", choices=("small", "full"), default="small")
-        p.set_defaults(func=_cmd_verify)
-
-    if p := add("sequential"):
-        common(p)
-        p.set_defaults(func=_cmd_sequential)
-
-    if p := add("commitment"):
-        common(p, out=False)
-        p.add_argument("--decoys-to-slot1", type=int, default=0,
-                       help="move this many decoys into slot one (sabotage probe)")
-        p.add_argument("--verify", action="store_true",
-                       help="enumerate equilibria instead of running once")
-        p.set_defaults(func=_cmd_commitment)
-
-    if p := add("lemons"):
-        p.add_argument("--good", type=int, required=True)
-        p.add_argument("--bad", type=int, required=True)
-        p.add_argument("--v", default="100", help="good-car valuation (rational)")
-        p.add_argument("--epsilon", default="1", help="price unit (rational)")
-        p.add_argument("--bad-to-slot1", type=int, default=0,
-                       help="bad sellers defecting into slot one")
-        p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=_cmd_lemons)
-
-    if p := add("sweep"):
-        common(p)
-        p.add_argument("--param", choices=("delta", "q"), required=True)
-        p.add_argument("--from", dest="start", required=True, help="grid start (rational)")
-        p.add_argument("--to", dest="stop", required=True, help="grid end (rational)")
-        p.add_argument("--steps", type=int, required=True, help="number of grid points")
-        p.add_argument("--filter-dominated", choices=("on", "off"), default="on")
-        p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP)
-        p.set_defaults(func=_cmd_sweep)
-
+    for name, spec in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=spec.help)
+        for o in spec.options:
+            kind = ({"action": "store_true"} if o.type is bool else
+                    {"type": None if o.type is str else o.type, "default": o.default,
+                     "choices": o.choices, "required": o.required})
+            p.add_argument(o.flag, dest=o.dest, help=o.help, **kind)
+        p.set_defaults(func=spec.handler)
     return parser
+
+
+def _read_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse would return for argv, read from _COMMANDS
+    alone when argv is a subcommand followed by its own long options, each
+    at most once and each as `--name value` (a store-true flag alone): no
+    value starts with "-", an int value is ASCII digits that int() reads,
+    a choice is one of its choices and every required option is given.
+    None for anything else (help, abbreviations, `--name=value`, repeats,
+    refusals), which argparse reads, answers or refuses in its own words."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    options = {o.flag: o for o in spec.options}
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        option = options.get(word)
+        if option is None or option.dest in given:
+            return None
+        if option.type is bool:
+            given[option.dest] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        if option.type is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        given[option.dest] = value
+    if any(o.required and o.dest not in given for o in spec.options):
+        return None
+    return SimpleNamespace(command=argv[0], func=spec.handler,
+                           **{o.dest: given.get(o.dest, o.default) for o in spec.options})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Only a first word that names a subcommand builds a parser for it
-    # alone; any other argv (help, a bad option or command, none) gets the
-    # full parser, whose help and errors list every subcommand.
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _read_args(argv)
+    if args is None:
+        # Only a first word that names a subcommand builds a parser for it
+        # alone; any other argv (help, a bad option or command, none) gets
+        # the full parser, whose help and errors list every subcommand.
+        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    # Range refusals build the invoked subcommand's parser only to print
+    # its usage line and error.
     for flag, low in (("mc", 0), ("workers", 1)):
         if getattr(args, flag, low) < low:
-            parser.error(f"argument --{flag}: must be at least {low}")
+            build_parser(args.command).error(f"argument --{flag}: must be at least {low}")
     if getattr(args, "seed", None) is not None and not 0 <= args.seed <= MAX_SEED:
-        parser.error(f"argument --seed: must be in 0..{MAX_SEED}")
+        build_parser(args.command).error(f"argument --seed: must be in 0..{MAX_SEED}")
     started = time.perf_counter()
     try:
         code = args.func(args)

@@ -1,6 +1,7 @@
-"""Start-up pays only for what a command runs: the variants and the process
-pool load on first use, and main registers only the subcommand that its
-first word names, with help, usage and error text unchanged."""
+"""Start-up pays only for what a command runs: the variants, the process
+pool and argparse load on first use, and a call main leaves to argparse
+registers only the subcommand that its first word names, with help, usage
+and error text unchanged."""
 
 import argparse
 import os
@@ -37,8 +38,8 @@ EXPORTED = (
 PROBE = f"""
 import sys
 import devilsmenu, devilsmenu.cli
-print(sorted(m for m in ("devilsmenu.variants", "concurrent.futures", "dataclasses")
-             if m in sys.modules))
+print(sorted(m for m in ("devilsmenu.variants", "concurrent.futures", "dataclasses",
+                          "argparse") if m in sys.modules))
 from devilsmenu import {", ".join(EXPORTED)}
 from devilsmenu import variants
 print(run_lemons is variants.run_lemons)
