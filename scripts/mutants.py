@@ -68,6 +68,9 @@ COMMITMENT_SEED = "    seed = _resolve_seed(args, s)\n"
 COMMITMENT_HEADER = '    _print_scenario_header(s, "commitment", seed)\n'
 COMMITMENT_VERIFY = "        report = verify_commitment_equilibrium(game, s.total_decoy)\n"
 VERDICT = "worth2[st2][CLASS_SLOTS[(voter_type, alt)]] * d > worth[st][idx] * d2"
+BLOCK_CHECK = "            entry = _is_nash_counts(tables, memo, head_options + low_options, head_keys + low_keys)\n"
+T_BLOCKS = (f"{T_PROP}::test_block_scan_equals_orbit_scan_reference",
+            f"{T_EQ}::test_block_scan_equals_orbit_scan_reference_on_full_family")
 SEQUENTIAL_RUN = "    outcomes = run_sequential(s, random.Random(seed))\n"
 SEQUENTIAL_HEADER = '    _print_scenario_header(s, "sequential", seed)\n'
 STATUS_ODDS_CODES = """\
@@ -150,8 +153,8 @@ MUTANTS = [
     Mutant("expansion without place", EQUILIBRIUM,
            "found.append(tuple(flat[i] for i in place))", "found.append(flat)",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
-    Mutant("expansion with unreversed rows", EQUILIBRIUM,
-           "rows = [tuple(option[1] for option in reversed(orbit_options))",
+    Mutant("expansion with unsorted rows", EQUILIBRIUM,
+           "rows = [tuple(sorted(option[1] for option in orbit_options))",
            "rows = [tuple(option[1] for option in orbit_options)",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
     Mutant("deviation payoff without the occupied-class refusal", EQUILIBRIUM,
@@ -278,6 +281,19 @@ MUTANTS = [
            "    for x, (moves, _, _) in zip(keys, options):\n        oid = x\n",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",
             f"{T_PROP}::test_orbit_scan_matches_per_citizen_oracle")),
+    Mutant("a key equal to the head's cut counted as high", EQUILIBRIUM,
+           "bisect_left(drops, -sorted(head_keys)[rank])", "bisect_left(drops, 1 - sorted(head_keys)[rank])",
+           T_BLOCKS),
+    Mutant("high districts recorded without their check", EQUILIBRIUM,
+           "        if not gain:\n            passing.append(option)\n", "        passing.append(option)\n",
+           T_BLOCKS),
+    Mutant("block bottom taken from the head's keys alone", EQUILIBRIUM, BLOCK_CHECK,
+           "            entry = (_is_nash_counts(tables, memo, head_options, head_keys) if h else\n"
+           "                     _is_nash_counts(tables, memo, head_options + low_options, head_keys + low_keys))\n"
+           "            if h and entry is not None and len(\n"
+           "                    _passing(verdicts, entry, list(zip(low_keys, low_options)))) < len(low_keys):\n"
+           "                entry = None\n",
+           T_BLOCKS),
     Mutant("reader skips the choices check", CLI,
            "if option.choices is not None and value not in option.choices:", "if False:",
            (f"{T_READER}::test_reader_leaves_other_calls_to_argparse", T_AGREES)),

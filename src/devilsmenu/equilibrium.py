@@ -9,11 +9,12 @@ ties.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, count, product
 from math import comb, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Optional
 
 from .mechanism import (
@@ -233,29 +234,49 @@ def _gains(verdicts: _Memo, summary: Threshold, x: int, moves: tuple) -> bool:
     return False
 
 
-def _is_nash_counts(tables: _PricingTables, memo: dict, options: tuple, keys: tuple) -> bool:
+def _is_nash_counts(tables: _PricingTables, memo: dict, options: tuple,
+                    keys: tuple) -> Optional[tuple]:
     """The Nash check of one profile, given as a compiled option and a
-    slot-one key per district. The verdict does not depend on the order of
-    the districts.
+    slot-one key per district: None when a district gains, else the memo
+    entry of the profile's bottom, (its Threshold, its verdict per option
+    id). The verdict does not depend on the order of the districts.
 
     A district's verdict depends on the others only through the bottom of
     the keys (Threshold.bottom), so memo, which its caller owns for one
     scan, holds per bottom its Threshold and, per option id, whether a
     district of that option gains; a profile whose bottom was seen costs
-    a sort, a cut and a lookup per district checked.
+    a sort, a cut and a lookup per district checked. Districts added with
+    keys above the bottom's largest leave it as it is, so the returned
+    entry judges them too.
     """
     bottom = Threshold.bottom(keys, tables.q)
-    seen = memo.get(bottom)
-    if seen is None:
-        seen = memo[bottom] = Threshold(bottom, tables.q), {}
-    summary, gains = seen
+    entry = memo.get(bottom)
+    if entry is None:
+        entry = memo[bottom] = Threshold(bottom, tables.q), {}
+    summary, gains = entry
     for x, (moves, _, oid) in zip(keys, options):
         gain = gains.get(oid)
         if gain is None:
             gain = gains[oid] = _gains(tables.verdicts, summary, x, moves)
         if gain:
-            return False
-    return True
+            return None
+    return entry
+
+
+def _passing(verdicts: _Memo, entry: tuple, pairs: list) -> list:
+    """The options of the compiled (key, option) pairs whose district has
+    no strictly gaining move in a profile whose bottom has memo entry, each
+    judged and recorded as _is_nash_counts judges a district."""
+    summary, gains = entry
+    passing = []
+    for x, option in pairs:
+        moves, _, oid = option
+        gain = gains.get(oid)
+        if gain is None:
+            gain = gains[oid] = _gains(verdicts, summary, x, moves)
+        if not gain:
+            passing.append(option)
+    return passing
 
 
 def is_nash(s: Scenario, p: CountProfile, filter_dominated: bool = True) -> bool:
@@ -273,7 +294,7 @@ def is_nash(s: Scenario, p: CountProfile, filter_dominated: bool = True) -> bool
         return False  # off the dominance screen, so not a profile of the filtered game
     moves = _FILTERED_MOVES if filter_dominated else _ALL_MOVES
     keys, options = zip(*(_compiled(ctx, k, row, moves, k) for k, row in enumerate(counts)))
-    return _is_nash_counts(ctx.tables, {}, options, keys)
+    return _is_nash_counts(ctx.tables, {}, options, keys) is not None
 
 
 def _distinct_permutations(items: tuple) -> Iterator[tuple]:
@@ -312,55 +333,95 @@ class _Parts:
                 yield a, b, n - a - b
 
 
+def _multisets(compiled: list, size: int) -> list[tuple[tuple, tuple]]:
+    """Every multiset of size of the compiled (key, option) pairs, as
+    (keys, options), in the order of combinations_with_replacement."""
+    return [tuple(zip(*combo)) or ((), ())
+            for combo in combinations_with_replacement(compiled, size)]
+
+
 def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     """The equilibria among the product of every district's splits, sorted,
-    and the number of Nash checks run. groups holds, per group of identical
-    districts, (its districts, its real parts, its decoy parts).
+    and the number of representatives the scan covers. groups holds, per
+    group of identical districts, (its districts, its real parts, its decoy
+    parts).
 
     Districts with the same (real, decoy) counts have the same options and
     commute: permuting their choices permutes the statuses and keeps the
     verdict. So each group's options are compiled once, one representative
-    per multiset of its choices is checked in group order, and only
-    equilibria are expanded to every distinct arrangement and put back in
-    district order.
+    per multiset of its choices is covered, and only equilibria are
+    expanded to every distinct arrangement and put back in district order.
 
-    Each orbit element is compiled once as (options, keys), so a
-    representative is the concatenation of its head part, joined once per
-    element of the last orbit, and that orbit's element. Every option gets
-    its own id, and one memo of _is_nash_counts serves the whole scan and
-    ends with it.
+    The scan checks blocks of representatives. The group with the highest
+    top key goes last, unless that leaves q keys or fewer before it, and
+    a head part takes one multiset of each other group, its keys H. Let
+    cut be the (q+1)-th smallest of H: a last-group key above cut lies
+    above the bottom of every profile holding H, so such a profile has
+    the bottom of H and its last-group keys at or below cut (its low
+    part). So, for j = 0..n of the last group's n districts above cut,
+    one Nash check of each (head part, low part of n - j) stands for all
+    of them. Only when it passes are the options above cut judged, once
+    each, against the memo entry it returns, and every multiset of j of
+    those that do not gain completes an equilibrium. A head of q keys or
+    fewer has no cut, and one option above cut merges no representatives;
+    then each representative is checked alone, the groups in their order.
+    Every option gets its own id, and one memo of _is_nash_counts serves
+    the whole scan and ends with it.
     """
-    order = [k for ks, _, _ in groups for k in ks]
-    place = sorted(range(len(order)), key=order.__getitem__)  # district -> group-order position
     moves = _FILTERED_MOVES if filtered else _ALL_MOVES
     # Each group's options go in descending row order, the order of its
     # parts, so its part of a representative starts with the split with
     # the most voters on slot one, whose moves reject the most candidates
     # of the filtered game. The verdict does not depend on the order.
-    orbits, ids = [], count()
-    for ks, reals, decoys in groups:
-        compiled = [_compiled(ctx, ks[0], rc + dc, moves, next(ids))
-                    for rc in reals for dc in decoys]
-        orbits.append([(tuple(option for _, option in combo), tuple(x for x, _ in combo))
-                       for combo in combinations_with_replacement(compiled, len(ks))])
-    tables, memo = ctx.tables, {}
-    found = []
-    *head, last = orbits
+    ids = count()
+    compiled = [(ks, [_compiled(ctx, ks[0], rc + dc, moves, next(ids))
+                      for rc in reals for dc in decoys])
+                for ks, reals, decoys in groups]
+    # A group's top key is the key of its first option.
+    q, tops = ctx.tables.q, [options[0][0] for _, options in compiled]
+    g = tops.index(max(tops))
+    if len(ctx.steps) - len(compiled[g][0]) > q:
+        compiled.append(compiled.pop(g))
+    order = [k for ks, _ in compiled for k in ks]
+    place = sorted(range(len(order)), key=order.__getitem__)  # district -> group-order position
+    *head, (ks, last) = compiled
+    head = [_multisets(options, len(ks)) for ks, options in head]
+    n = len(ks)
+    last.sort(key=itemgetter(0), reverse=True)  # by key, highest first
+    drops = [-x for x, _ in last]  # ascending; bisect_left(drops, -cut) options lie above cut
+    rank = q if len(order) - n > q else None  # the cut's rank among the head's keys
+    # blocks[h]: (j, keys, options) of each multiset of n - j options below
+    # the h highest, for j = 0..n; only j = 0 when h is 0 or 1, as one
+    # option above cut merges no representatives.
+    blocks = {0: [(0, *low) for low in _multisets(last, n)]}
+    blocks[1] = blocks[0]
+    h, block = 0, blocks[0]
+    tables, verdicts, memo, found = ctx.tables, ctx.tables.verdicts, {}, []
     for part in product(*head):
         head_options = head_keys = ()
-        for options, keys in part:
+        for keys, options in part:
             head_options += options
             head_keys += keys
-        for element in last:
-            if _is_nash_counts(tables, memo, head_options + element[0], head_keys + element[1]):
+        if rank is not None:
+            h = bisect_left(drops, -sorted(head_keys)[rank])
+            block = blocks.get(h)
+            if block is None:
+                block = blocks[h] = [(j, *low) for j in range(n + 1)
+                                     for low in _multisets(last[h:], n - j)]
+        for j, low_keys, low_options in block:
+            entry = _is_nash_counts(tables, memo, head_options + low_options, head_keys + low_keys)
+            if entry is None:
+                continue
+            passing = _passing(verdicts, entry, last[:h]) if j else ()
+            for high in combinations_with_replacement(passing, j):
                 # The arrangements need each orbit's rows in ascending order.
-                rows = [tuple(option[1] for option in reversed(orbit_options))
-                        for orbit_options, _ in (*part, element)]
+                rows = [tuple(sorted(option[1] for option in orbit_options))
+                        for orbit_options in (*(o for _, o in part), low_options + high)]
                 for arrangement in product(*map(_distinct_permutations, rows)):
                     flat = tuple(chain.from_iterable(arrangement))
                     found.append(tuple(flat[i] for i in place))
     found.sort()
-    return found, prod(map(len, orbits))
+    return found, prod(map(len, head)) * len(blocks[0])
 
 
 def enumerate_equilibria(
@@ -375,9 +436,10 @@ def enumerate_equilibria(
     the profiles with real voters on slot two, a factor real+1 per
     district: they fail the dominance screen whatever the decoys do, so
     they are rejected wholesale. Unfiltered, every profile is a candidate.
-    Either way one candidate per orbit of identical districts runs the
-    Nash check, and candidates_checked counts those representatives, not
-    the Threshold builds or district verdicts the scan's memo saves.
+    Either way the scan covers one candidate per orbit of identical
+    districts, judging blocks of them with one Nash check each
+    (_orbit_scan), and candidates_checked counts the representatives
+    covered, not the checks, Threshold builds or district verdicts spent.
     """
     ctx = _Ctx(s)
     by_counts: dict[tuple[int, int], list[int]] = {}

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from conftest import full_scan, scenario_for, sym
+from conftest import full_scan, orbit_scan_reference, scenario_for, sym
 from devilsmenu import (
     MenuVariant,
     ProfileError,
@@ -303,7 +303,7 @@ def test_enumeration_matches_per_citizen_oracle_small():
 
 
 def test_candidates_checked_counts_orbit_representatives():
-    # One Nash check per multiset of decoy splits over identical districts:
+    # One representative per multiset of decoy splits over identical districts:
     # C(5+3-1, 3) * C(6+2-1, 2) * C(4+2-1, 2) = 35 * 21 * 10 of 72,000 splits.
     wide = scenario_for([(3, 4)] * 3 + [(2, 5)] * 2 + [(4, 3)] * 2, 3)
     report = enumerate_equilibria(wide)
@@ -457,10 +457,11 @@ def test_pricing_tables_fill_each_entry_once(monkeypatch):
 def test_nash_memo_builds_one_threshold_per_bottom(monkeypatch):
     # One scan builds one Threshold per distinct bottom of its
     # representatives' keys and evaluates one district verdict per
-    # distinct (bottom, option) it reaches; the memo ends with the scan,
-    # so a second scan builds them all again.
-    builds, gains = Counter(), Counter()
-    build = Threshold.__init__
+    # distinct (bottom, option) it reaches, high options included; the
+    # memo ends with the scan, so a second scan builds them all again.
+    # Its blocks take 2455 Nash checks to cover the 7350 representatives.
+    builds, gains, checks = Counter(), Counter(), Counter()
+    build, check = Threshold.__init__, equilibrium._is_nash_counts
 
     def counted_build(summary, keys, q):
         builds[tuple(keys)] += 1
@@ -470,16 +471,30 @@ def test_nash_memo_builds_one_threshold_per_bottom(monkeypatch):
         gains[tuple(summary.ranked), x, moves] += 1
         return gains_of(verdicts, summary, x, moves)
 
+    def counted_check(*args):
+        checks["nash"] += 1
+        return check(*args)
+
     monkeypatch.setattr(Threshold, "__init__", counted_build)
     monkeypatch.setattr(equilibrium, "_gains", counted_gains)
+    monkeypatch.setattr(equilibrium, "_is_nash_counts", counted_check)
     wide = scenario_for([(3, 4)] * 3 + [(2, 5)] * 2 + [(4, 3)] * 2, 3)
     for _ in range(2):
         builds.clear()
         gains.clear()
+        checks.clear()
         report = enumerate_equilibria(wide)
         assert report.candidates_checked == 7350 and report.sigma_star_unique
+        assert checks["nash"] == 2455 < 7350
         assert len(builds) == sum(builds.values()) == 448
-        assert len(gains) == sum(gains.values()) == 874
+        assert len(gains) == sum(gains.values()) == 839
+
+
+@pytest.mark.parametrize("claim", ["weak4-unique", "strong6-unique", "strong4-sigma-star"])
+def test_block_scan_equals_orbit_scan_reference_on_full_family(claim):
+    for s in family_for(claim, "full"):
+        got = tuple(e.as_counts() for e in enumerate_equilibria(s).equilibria)
+        assert got == orbit_scan_reference(s, True), s
 
 
 def test_no_scenario_state_outlives_the_families():

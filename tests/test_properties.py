@@ -24,6 +24,7 @@ from devilsmenu import (
     validate_scenario,
     verify_sabotage_bound,
 )
+from devilsmenu import equilibrium
 from devilsmenu.cli import _mc_batch
 from devilsmenu.equilibrium import (
     VoterClass, _Ctx, _PricingTables, enumerate_equilibria, real_deviation_expenditures,
@@ -35,7 +36,7 @@ from devilsmenu.mechanism import (
     voter_payoff,
 )
 from devilsmenu.model import MAX_SEED
-from conftest import full_scan, replay_fair_draw
+from conftest import full_scan, orbit_scan_reference, replay_fair_draw
 from oracles import (
     ABOVE, BELOW, TIED, oracle_expected_expenditure, oracle_expected_payoff,
     oracle_expenditure_bound, oracle_partition, oracle_tie_payoff_gap, per_citizen_equilibria,
@@ -568,6 +569,52 @@ def test_orbit_scan_matches_per_citizen_oracle(sf):
     s, filtered = sf
     got = {e.as_counts() for e in enumerate_equilibria(s, filter_dominated=filtered).equilibria}
     assert got == per_citizen_equilibria(s, filtered)
+
+
+@st.composite
+def two_or_three_district_types(draw):
+    """A scenario of two or three (real, decoy) types in one of the three
+    menus, its districts shuffled, delta at most the menu's tie-price floor,
+    and a filter mode: up to 7 districts filtered, up to 5 unfiltered."""
+    filtered = draw(st.booleans())
+    if filtered:
+        k, kind = draw(st.integers(3, 7)), st.tuples(st.integers(1, 3), st.integers(1, 3))
+    else:
+        k, kind = draw(st.integers(3, 5)), st.sampled_from([(1, 1), (1, 2), (2, 1)])
+    types = draw(st.lists(kind, min_size=2, max_size=3, unique=True))
+    districts = draw(st.permutations(types + [draw(st.sampled_from(types))
+                                              for _ in range(k - len(types))]))
+    q = draw(st.integers(1, k))
+    menu = draw(st.sampled_from(MENUS))
+    floor = tie_price_floor(menu, k, q, 100, 1)
+    delta = draw(st.fractions(min_value=Fraction(1, 2), max_value=floor, max_denominator=8))
+    return make_scenario(districts, 100, 1, delta, q, menu=menu), filtered
+
+
+def test_block_scan_equals_orbit_scan_reference(monkeypatch):
+    # The block scan lists the equilibria of the per-representative scan,
+    # in its order, and across the sample some of them are recorded through
+    # high options: _passing runs only for j > 0, and every option it
+    # returns completes at least one equilibrium.
+    passed, passing = [], equilibrium._passing
+
+    def counted_passing(*args):
+        got = passing(*args)
+        passed.append(len(got))
+        return got
+
+    monkeypatch.setattr(equilibrium, "_passing", counted_passing)
+
+    @given(two_or_three_district_types())
+    @example((make_scenario([(1, 1)] * 3 + [(1, 2)] * 2, 100, 1, 36, 2), False))
+    @settings(max_examples=40, deadline=None)
+    def agrees(sf):
+        s, filtered = sf
+        report = enumerate_equilibria(s, filter_dominated=filtered)
+        assert tuple(e.as_counts() for e in report.equilibria) == orbit_scan_reference(s, filtered)
+
+    agrees()
+    assert any(passed)
 
 
 # Counts rows of (2, 2) districts whose slot-one ratio is 0, 1 or 2.
