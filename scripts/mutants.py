@@ -68,7 +68,17 @@ COMMITMENT_SEED = "    seed = _resolve_seed(args, s)\n"
 COMMITMENT_HEADER = '    _print_scenario_header(s, "commitment", seed)\n'
 COMMITMENT_VERIFY = "        report = verify_commitment_equilibrium(game, s.total_decoy)\n"
 VERDICT = "worth2[st2][CLASS_SLOTS[(voter_type, alt)]] * d > worth[st][idx] * d2"
-BLOCK_CHECK = "            entry = _is_nash_counts(tables, memo, head_options + low_options, head_keys + low_keys)\n"
+BLOCK_CHECK = "            bottom = bottom_of(head_keys + low_keys, q)\n"
+BIT_IDS = """\
+    bits = count()
+    compiled = [(ks, [(*option, 1 << next(bits)) for option in options])
+                for ks, options in compiled]
+    judged = [option for _, options in compiled for option in options]
+"""
+PREMISE_S2 = """\
+        if max(worth[REAL, S2], worth[REAL, ABSTAIN]) > v:
+            return "slot two is not dominated for a real voter"
+"""
 T_BLOCKS = (f"{T_PROP}::test_block_scan_equals_orbit_scan_reference",
             f"{T_EQ}::test_block_scan_equals_orbit_scan_reference_on_full_family")
 SEQUENTIAL_RUN = "    outcomes = run_sequential(s, random.Random(seed))\n"
@@ -154,8 +164,8 @@ MUTANTS = [
            "found.append(tuple(flat[i] for i in place))", "found.append(flat)",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
     Mutant("expansion with unsorted rows", EQUILIBRIUM,
-           "rows = [tuple(sorted(option[1] for option in orbit_options))",
-           "rows = [tuple(option[1] for option in orbit_options)",
+           "rows = [tuple(sorted(option[2] for option in orbit_options))",
+           "rows = [tuple(option[2] for option in orbit_options)",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
     Mutant("deviation payoff without the occupied-class refusal", EQUILIBRIUM,
            "if p.as_counts()[who.district][CLASS_SLOTS[(who.voter_type, who.action)]] == 0:",
@@ -276,24 +286,37 @@ MUTANTS = [
     Mutant("bottom cut before the copies of the (q+1)-th smallest key", MECHANISM,
            "bisect_right(ranked, ranked[q])", "bisect_left(ranked, ranked[q])",
            (f"{T_PROP}::test_threshold_of_the_bottom_equals_threshold_of_all_keys",)),
-    Mutant("district verdict memoized by its key, not its option", EQUILIBRIUM,
-           "    for x, (moves, _, oid) in zip(keys, options):\n",
-           "    for x, (moves, _, _) in zip(keys, options):\n        oid = x\n",
+    Mutant("district verdict memoized by its key, not its option", EQUILIBRIUM, BIT_IDS,
+           "    compiled = [(ks, [(*option, 1 << option[0]) for option in options]) for ks, options in compiled]\n"
+           "    judged = {option[0]: option for _, options in compiled for option in options}\n",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",
             f"{T_PROP}::test_orbit_scan_matches_per_citizen_oracle")),
     Mutant("a key equal to the head's cut counted as high", EQUILIBRIUM,
            "bisect_left(drops, -sorted(head_keys)[rank])", "bisect_left(drops, 1 - sorted(head_keys)[rank])",
            T_BLOCKS),
     Mutant("high districts recorded without their check", EQUILIBRIUM,
-           "        if not gain:\n            passing.append(option)\n", "        passing.append(option)\n",
+           "[o for o in last[:h] if not _judge(verdicts, entry, o[3], judged)]", "last[:h]",
            T_BLOCKS),
     Mutant("block bottom taken from the head's keys alone", EQUILIBRIUM, BLOCK_CHECK,
-           "            entry = (_is_nash_counts(tables, memo, head_options, head_keys) if h else\n"
-           "                     _is_nash_counts(tables, memo, head_options + low_options, head_keys + low_keys))\n"
-           "            if h and entry is not None and len(\n"
-           "                    _passing(verdicts, entry, list(zip(low_keys, low_options)))) < len(low_keys):\n"
-           "                entry = None\n",
-           T_BLOCKS),
+           "            bottom = bottom_of(head_keys if h else head_keys + low_keys, q)\n", T_BLOCKS),
+    Mutant("a gaining option marked known but not failed", EQUILIBRIUM,
+           "            fails |= bit\n            break\n", "            break\n",
+           (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",
+            f"{T_PROP}::test_orbit_scan_matches_per_citizen_oracle")),
+    Mutant("fail mask not read before judging", EQUILIBRIUM,
+           "if mask & entry[2] or mask & ~entry[1] and", "if mask & ~entry[1] and", T_BLOCKS),
+    Mutant("option ids assigned before the group reorder", EQUILIBRIUM, BIT_IDS,
+           "    bits = count()\n"
+           "    bit = {id(o): 1 << next(bits) for _, options in sorted(compiled) for o in options}\n"
+           "    compiled = [(ks, [(*option, bit[id(option)]) for option in options]) for ks, options in compiled]\n"
+           "    judged = sorted((option for _, options in compiled for option in options), key=itemgetter(3))\n",
+           (f"{T_EQ}::test_nash_memo_builds_one_threshold_per_bottom",)),
+    Mutant("premise check drops a condition", EQUILIBRIUM, PREMISE_S2, "",
+           (f"{T_EQ}::test_premise_refuses_a_strong6_tie_price_above_v",
+            f"{T_PROP}::test_filter_premise_never_passes_where_a_dropped_action_pays_more")),
+    Mutant("_FILTERED_MOVES widened with no change to the check", EQUILIBRIUM,
+           "if voter_type == DECOY and ABSTAIN not in (action, alt))", "if ABSTAIN not in (action, alt))",
+           (f"{T_EQ}::test_filtered_moves_are_the_moves_between_kept_actions",)),
     Mutant("reader skips the choices check", CLI,
            "if option.choices is not None and value not in option.choices:", "if False:",
            (f"{T_READER}::test_reader_leaves_other_calls_to_argparse", T_AGREES)),

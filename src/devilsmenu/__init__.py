@@ -13,6 +13,7 @@ from .model import (
     DeltaBelowThreshold,
     DistrictSpec,
     MenuVariant,
+    PremiseFails,
     ProfileError,
     ScanCapExceeded,
     Scenario,

@@ -41,6 +41,7 @@ from .model import (
     DeltaBelowThreshold,
     DistrictSpec,
     MenuVariant,
+    PremiseFails,
     ProfileError,
     ScanCapExceeded,
     Scenario,
@@ -467,12 +468,14 @@ def _cmd_sweep(args) -> int:
         if violations:
             rows.append((format_rational(value), approx(value), "no", "", "", "", ""))
             continue
-        report = enumerate_equilibria(inst, filter_dominated=filtered,
-                                      scan_cap=args.scan_cap)
         spend = expected_expenditure(inst, CountProfile.sigma_star(inst))
-        rows.append((format_rational(value), approx(value), "yes",
-                     str(len(report.equilibria)),
-                     "yes" if report.sigma_star_present else "no",
+        try:
+            report = enumerate_equilibria(inst, filter_dominated=filtered,
+                                          scan_cap=args.scan_cap)
+            found = (str(len(report.equilibria)), "yes" if report.sigma_star_present else "no")
+        except PremiseFails:  # no filtered game at this pricing to count
+            found = ("premise fails", "")
+        rows.append((format_rational(value), approx(value), "yes", *found,
                      format_rational(spend), approx(spend)))
     header = (args.param, f"{args.param}_approx", "valid", "equilibria",
               "sigma_star_present", "sigma_star_expenditure",

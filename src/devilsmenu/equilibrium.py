@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations_with_replacement, count, product
 from math import comb, lcm, prod
-from operator import itemgetter, mul
+from operator import itemgetter, mul, or_
 from typing import Iterator, NamedTuple, Optional
 
 from .mechanism import (
@@ -22,6 +22,7 @@ from .mechanism import (
     ACTIONS,
     CLASS_SLOTS,
     DECOY,
+    NOT_SELECTED,
     REAL,
     S1,
     S2,
@@ -37,7 +38,7 @@ from .mechanism import (
     valuation,
     voter_payoff,
 )
-from .model import MenuVariant, ProfileError, ScanCapExceeded, Scenario
+from .model import MenuVariant, PremiseFails, ProfileError, ScanCapExceeded, Scenario
 
 DEFAULT_SCAN_CAP = 5_000_000
 
@@ -98,7 +99,8 @@ class _PricingTables:
     his expected payoff, each an integer numerator over D. A verdict,
     verdicts[(status code, c, t) before, (status code, c, t) after, move
     id], is whether the move strictly pays: two worths compared by
-    cross-multiplying each by the other's denominator.
+    cross-multiplying each by the other's denominator. premise_failure is
+    filter_premise's reading of settled.
     """
 
     def __init__(self, menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
@@ -121,6 +123,7 @@ class _PricingTables:
             self.settled[final] = paid + worth
         self.rows = _Memo(self._row)
         self.verdicts = _Memo(self._verdict)
+        self.premise_failure = filter_premise(self)
 
     def _row(self, ct: tuple[int, int]) -> tuple[int, tuple, tuple]:
         c, t = ct
@@ -141,6 +144,29 @@ class _PricingTables:
         d, _, worth = self.rows[c, t]
         d2, _, worth2 = self.rows[c2, t2]
         return worth2[st2][CLASS_SLOTS[(voter_type, alt)]] * d > worth[st][idx] * d2
+
+
+def filter_premise(tables: _PricingTables) -> Optional[str]:
+    """None when the dominance filter's premise holds at this pricing, else
+    why it fails, naming the dropped action that is not dominated.
+
+    The filtered game drops abstention and real voters' slot two. That is
+    sound when, in every final status, a real voter gets at least V on slot
+    one and at most V on slot two or abstaining, and a decoy gets at least
+    0 on slot two, what abstaining gives him: the kept action's worst then
+    pays at least the dropped one's best, whatever a move does to the
+    mover's district. The check is sufficient, not necessary.
+    """
+    v = tables.settled[NOT_SELECTED][6 + CLASS_SLOTS[REAL, ABSTAIN]]  # he keeps his ballot
+    for settled in tables.settled.values():
+        worth = dict(zip(CLASS_SLOTS, settled[6:]))
+        if worth[REAL, S1] < v:
+            return "abstaining is not dominated for a real voter"
+        if max(worth[REAL, S2], worth[REAL, ABSTAIN]) > v:
+            return "slot two is not dominated for a real voter"
+        if worth[DECOY, S2] < 0:
+            return "abstaining is not dominated for a decoy"
+    return None
 
 
 @lru_cache(maxsize=32)
@@ -214,14 +240,13 @@ def deviation_payoff(s: Scenario, p: CountProfile, who: VoterClass, new_action: 
     return _payoff_after(s, p, who, new_action)
 
 
-def _compiled(ctx: _Ctx, k: int, row: tuple, moves: tuple, oid: int) -> tuple:
+def _compiled(ctx: _Ctx, k: int, row: tuple, moves: tuple) -> tuple:
     """A counts row of district k as the Nash check reads it: (its slot-one
-    key x, its option), the option being ((move id, key y after the move)
-    per move of an occupied class, the row, oid). oid names the option
-    within one memo of _is_nash_counts, so no two options of a scan share it."""
+    key x, (move id, key y after the move) per move of an occupied class,
+    the row)."""
     step = ctx.steps[k]
     x = (row[0] + row[3]) * step
-    return x, (tuple((mv, x + dm * step) for mv, idx, dm in moves if row[idx]), row, oid)
+    return x, tuple((mv, x + dm * step) for mv, idx, dm in moves if row[idx]), row
 
 
 def _gains(verdicts: _Memo, summary: Threshold, x: int, moves: tuple) -> bool:
@@ -234,49 +259,30 @@ def _gains(verdicts: _Memo, summary: Threshold, x: int, moves: tuple) -> bool:
     return False
 
 
-def _is_nash_counts(tables: _PricingTables, memo: dict, options: tuple,
-                    keys: tuple) -> Optional[tuple]:
-    """The Nash check of one profile, given as a compiled option and a
-    slot-one key per district: None when a district gains, else the memo
-    entry of the profile's bottom, (its Threshold, its verdict per option
-    id). The verdict does not depend on the order of the districts.
+def _judge(verdicts: _Memo, entry: list, mask: int, judged: list) -> int:
+    """The bits of mask whose district gains in a profile of entry's
+    bottom, as far as they are judged: 0 when none does.
 
     A district's verdict depends on the others only through the bottom of
-    the keys (Threshold.bottom), so memo, which its caller owns for one
-    scan, holds per bottom its Threshold and, per option id, whether a
-    district of that option gains; a profile whose bottom was seen costs
-    a sort, a cut and a lookup per district checked. Districts added with
-    keys above the bottom's largest leave it as it is, so the returned
-    entry judges them too.
+    the keys (Threshold.bottom), so a memo entry, [its Threshold, known,
+    fails], holds per bottom two masks over option bits: the options
+    judged, and those of them that gain. The unknown bits of mask are
+    judged in ascending order, judged[i] being the compiled option of bit
+    1 << i, and recorded, up to the first that gains.
     """
-    bottom = Threshold.bottom(keys, tables.q)
-    entry = memo.get(bottom)
-    if entry is None:
-        entry = memo[bottom] = Threshold(bottom, tables.q), {}
-    summary, gains = entry
-    for x, (moves, _, oid) in zip(keys, options):
-        gain = gains.get(oid)
-        if gain is None:
-            gain = gains[oid] = _gains(tables.verdicts, summary, x, moves)
-        if gain:
-            return None
-    return entry
-
-
-def _passing(verdicts: _Memo, entry: tuple, pairs: list) -> list:
-    """The options of the compiled (key, option) pairs whose district has
-    no strictly gaining move in a profile whose bottom has memo entry, each
-    judged and recorded as _is_nash_counts judges a district."""
-    summary, gains = entry
-    passing = []
-    for x, option in pairs:
-        moves, _, oid = option
-        gain = gains.get(oid)
-        if gain is None:
-            gain = gains[oid] = _gains(verdicts, summary, x, moves)
-        if not gain:
-            passing.append(option)
-    return passing
+    summary, known, fails = entry
+    unknown = mask & ~known
+    while unknown:
+        bit = unknown & -unknown
+        option = judged[bit.bit_length() - 1]
+        known |= bit
+        if _gains(verdicts, summary, option[0], option[1]):
+            fails |= bit
+            break
+        unknown ^= bit
+    entry[1] = known
+    entry[2] = fails
+    return mask & fails
 
 
 def is_nash(s: Scenario, p: CountProfile, filter_dominated: bool = True) -> bool:
@@ -285,7 +291,8 @@ def is_nash(s: Scenario, p: CountProfile, filter_dominated: bool = True) -> bool
     With filter_dominated the game is the dominance-reduced one: abstention
     is out for everyone, real voters are pinned to slot one, and profiles
     outside that space are not equilibria of it. Without it, every voter may
-    move across both slots and abstention.
+    move across both slots and abstention. District k is option bit 1 << k
+    of a fresh memo entry, judged as the scan judges its profiles.
     """
     p.check_against(s)
     ctx = _Ctx(s)
@@ -293,8 +300,9 @@ def is_nash(s: Scenario, p: CountProfile, filter_dominated: bool = True) -> bool
     if filter_dominated and any(cnt[1] or cnt[2] or cnt[5] for cnt in counts):
         return False  # off the dominance screen, so not a profile of the filtered game
     moves = _FILTERED_MOVES if filter_dominated else _ALL_MOVES
-    keys, options = zip(*(_compiled(ctx, k, row, moves, k) for k, row in enumerate(counts)))
-    return _is_nash_counts(ctx.tables, {}, options, keys) is not None
+    judged = [_compiled(ctx, k, row, moves) for k, row in enumerate(counts)]
+    entry = [Threshold(ctx.keys(counts), ctx.tables.q), 0, 0]
+    return not _judge(ctx.tables.verdicts, entry, (1 << len(judged)) - 1, judged)
 
 
 def _distinct_permutations(items: tuple) -> Iterator[tuple]:
@@ -333,11 +341,12 @@ class _Parts:
                 yield a, b, n - a - b
 
 
-def _multisets(compiled: list, size: int) -> list[tuple[tuple, tuple]]:
-    """Every multiset of size of the compiled (key, option) pairs, as
-    (keys, options), in the order of combinations_with_replacement."""
-    return [tuple(zip(*combo)) or ((), ())
-            for combo in combinations_with_replacement(compiled, size)]
+def _multisets(options: list, size: int) -> list[tuple[tuple, int, tuple]]:
+    """Every multiset of size of the options, as (their keys, the OR of
+    their bits, the options), in the order of combinations_with_replacement."""
+    return [(cols[0], reduce(or_, cols[3], 0), combo)
+            for combo in combinations_with_replacement(options, size)
+            for cols in [tuple(zip(*combo)) or ((),) * 4]]
 
 
 def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
@@ -360,63 +369,76 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     the bottom of H and its last-group keys at or below cut (its low
     part). So, for j = 0..n of the last group's n districts above cut,
     one Nash check of each (head part, low part of n - j) stands for all
-    of them. Only when it passes are the options above cut judged, once
-    each, against the memo entry it returns, and every multiset of j of
+    of them. Only when it passes are the options above cut judged, bit by
+    bit, against the memo entry of its bottom, and every multiset of j of
     those that do not gain completes an equilibrium. A head of q keys or
     fewer has no cut, and one option above cut merges no representatives;
     then each representative is checked alone, the groups in their order.
-    Every option gets its own id, and one memo of _is_nash_counts serves
-    the whole scan and ends with it.
+
+    Each option is one bit, numbered in group order, and each multiset
+    carries the OR of its options' bits. One memo, keyed by bottom, serves
+    the whole scan and ends with it: a check is one AND of its profile's
+    mask with the bottom's fail mask, and only bits not yet known are
+    judged (_judge).
     """
     moves = _FILTERED_MOVES if filtered else _ALL_MOVES
     # Each group's options go in descending row order, the order of its
     # parts, so its part of a representative starts with the split with
     # the most voters on slot one, whose moves reject the most candidates
     # of the filtered game. The verdict does not depend on the order.
-    ids = count()
-    compiled = [(ks, [_compiled(ctx, ks[0], rc + dc, moves, next(ids))
-                      for rc in reals for dc in decoys])
+    compiled = [(ks, [_compiled(ctx, ks[0], rc + dc, moves) for rc in reals for dc in decoys])
                 for ks, reals, decoys in groups]
     # A group's top key is the key of its first option.
     q, tops = ctx.tables.q, [options[0][0] for _, options in compiled]
     g = tops.index(max(tops))
     if len(ctx.steps) - len(compiled[g][0]) > q:
         compiled.append(compiled.pop(g))
+    # Bits are numbered after the reorder, so _judge, which takes them in
+    # ascending order, judges a profile's districts in group order.
+    bits = count()
+    compiled = [(ks, [(*option, 1 << next(bits)) for option in options])
+                for ks, options in compiled]
+    judged = [option for _, options in compiled for option in options]
     order = [k for ks, _ in compiled for k in ks]
     place = sorted(range(len(order)), key=order.__getitem__)  # district -> group-order position
     *head, (ks, last) = compiled
     head = [_multisets(options, len(ks)) for ks, options in head]
     n = len(ks)
     last.sort(key=itemgetter(0), reverse=True)  # by key, highest first
-    drops = [-x for x, _ in last]  # ascending; bisect_left(drops, -cut) options lie above cut
+    drops = [-o[0] for o in last]  # ascending; bisect_left(drops, -cut) options lie above cut
     rank = q if len(order) - n > q else None  # the cut's rank among the head's keys
-    # blocks[h]: (j, keys, options) of each multiset of n - j options below
-    # the h highest, for j = 0..n; only j = 0 when h is 0 or 1, as one
-    # option above cut merges no representatives.
+    # blocks[h]: (j, keys, mask, options) of each multiset of n - j options
+    # below the h highest, for j = 0..n; only j = 0 when h is 0 or 1, as
+    # one option above cut merges no representatives.
     blocks = {0: [(0, *low) for low in _multisets(last, n)]}
     blocks[1] = blocks[0]
     h, block = 0, blocks[0]
-    tables, verdicts, memo, found = ctx.tables, ctx.tables.verdicts, {}, []
+    bottom_of, verdicts, memo, found = Threshold.bottom, ctx.tables.verdicts, {}, []
     for part in product(*head):
-        head_options = head_keys = ()
-        for keys, options in part:
-            head_options += options
+        head_keys, head_mask = (), 0
+        for keys, mask, _ in part:
             head_keys += keys
+            head_mask |= mask
         if rank is not None:
             h = bisect_left(drops, -sorted(head_keys)[rank])
             block = blocks.get(h)
             if block is None:
                 block = blocks[h] = [(j, *low) for j in range(n + 1)
                                      for low in _multisets(last[h:], n - j)]
-        for j, low_keys, low_options in block:
-            entry = _is_nash_counts(tables, memo, head_options + low_options, head_keys + low_keys)
+        for j, low_keys, low_mask, low_options in block:
+            bottom = bottom_of(head_keys + low_keys, q)
+            entry = memo.get(bottom)
             if entry is None:
+                entry = memo[bottom] = [Threshold(bottom, q), 0, 0]
+            mask = head_mask | low_mask
+            if mask & entry[2] or mask & ~entry[1] and _judge(verdicts, entry, mask, judged):
                 continue
-            passing = _passing(verdicts, entry, last[:h]) if j else ()
+            passing = ([o for o in last[:h] if not _judge(verdicts, entry, o[3], judged)]
+                       if j else ())
             for high in combinations_with_replacement(passing, j):
                 # The arrangements need each orbit's rows in ascending order.
-                rows = [tuple(sorted(option[1] for option in orbit_options))
-                        for orbit_options in (*(o for _, o in part), low_options + high)]
+                rows = [tuple(sorted(option[2] for option in orbit_options))
+                        for orbit_options in (*(o for *_, o in part), low_options + high)]
                 for arrangement in product(*map(_distinct_permutations, rows)):
                     flat = tuple(chain.from_iterable(arrangement))
                     found.append(tuple(flat[i] for i in place))
@@ -432,14 +454,17 @@ def enumerate_equilibria(
     """Exhaustively scan symmetry-reduced profiles and collect the equilibria.
 
     The candidates join every district's real and decoy _Parts, and the
-    scan cap bounds their number. Filtered, profiles_scanned also counts
-    the profiles with real voters on slot two, a factor real+1 per
-    district: they fail the dominance screen whatever the decoys do, so
-    they are rejected wholesale. Unfiltered, every profile is a candidate.
-    Either way the scan covers one candidate per orbit of identical
-    districts, judging blocks of them with one Nash check each
-    (_orbit_scan), and candidates_checked counts the representatives
-    covered, not the checks, Threshold builds or district verdicts spent.
+    scan cap bounds their number. Filtered, the scan then refuses with
+    PremiseFails unless the dominance filter's premise holds at s's
+    prices (filter_premise), and profiles_scanned also counts the
+    profiles with real voters on slot two, a factor real+1 per district:
+    they fail the dominance screen whatever the decoys do, so they are
+    rejected wholesale. Unfiltered, every profile is a candidate. Either
+    way the scan covers one candidate per orbit of identical districts,
+    judging blocks of them with one Nash check each, an AND of the
+    block's option bits with its bottom's fail mask (_orbit_scan), and
+    candidates_checked counts the representatives covered, not the
+    checks, Threshold builds or district verdicts spent.
     """
     ctx = _Ctx(s)
     by_counts: dict[tuple[int, int], list[int]] = {}
@@ -450,6 +475,9 @@ def enumerate_equilibria(
     candidates = prod((reals.size * decoys.size) ** len(ks) for ks, reals, decoys in groups)
     if candidates > scan_cap:
         raise ScanCapExceeded(candidates, scan_cap)
+    if filter_dominated and ctx.tables.premise_failure:
+        raise PremiseFails("the dominance filter's premise fails at these prices: "
+                           + ctx.tables.premise_failure)
     found, checked = _orbit_scan(ctx, groups, filter_dominated)
     space = candidates * prod(r + 1 for r in ctx.n_real) if filter_dominated else candidates
     present = CountProfile.sigma_star(s).as_counts() in found

@@ -32,6 +32,11 @@ class ScanCapExceeded(RuntimeError):
         super().__init__(f"equilibrium scan needs {required} candidates but the cap is {cap}")
 
 
+class PremiseFails(ValueError):
+    """The dominance filter drops an action that is not dominated at the
+    scenario's prices, so verdicts of the filtered game do not hold."""
+
+
 class DeltaBelowThreshold(ValueError):
     """The tie price is below the minimum a mechanism variant requires."""
 

@@ -1,8 +1,14 @@
 import random
-from itertools import chain, combinations_with_replacement, count, product
+from functools import reduce
+from itertools import chain, combinations_with_replacement, product
+from operator import or_
 
 from devilsmenu import MenuVariant, equilibrium, is_nash, make_scenario
-from devilsmenu.mechanism import CountProfile, minimal_delta
+from devilsmenu.mechanism import DECOY, REAL, S1, S2, CountProfile, Threshold, minimal_delta
+
+# The actions the filtered game keeps, per voter type: real voters on slot
+# one, decoys on either slot. filter_premise shows every other one dominated.
+KEPT = {REAL: (S1,), DECOY: (S1, S2)}
 
 
 def scenario_for(districts, q, menu=MenuVariant.WEAK4, delta=None, v=100, eps=1, seed=0):
@@ -33,10 +39,11 @@ def full_scan(s, filtered):
 
 
 def orbit_scan_reference(s, filtered):
-    """The orbit scan without blocks: one Nash check (the library's) per
-    representative, one multiset of splits per group of identical
-    districts, each equilibrium expanded to every arrangement and put back
-    in district order; the sorted count tuples."""
+    """The orbit scan without blocks: one Nash check (the library's judge,
+    one memo entry per threshold bottom) per representative, one multiset
+    of splits per group of identical districts, each equilibrium expanded
+    to every arrangement and put back in district order; the sorted count
+    tuples."""
     ctx = equilibrium._Ctx(s)
     by_counts = {}
     for k, key in enumerate(zip(ctx.n_real, ctx.n_decoy)):
@@ -45,17 +52,22 @@ def orbit_scan_reference(s, filtered):
     moves = equilibrium._FILTERED_MOVES if filtered else equilibrium._ALL_MOVES
     order = [k for ks in by_counts.values() for k in ks]
     place = sorted(range(len(order)), key=order.__getitem__)
-    orbits, ids = [], count()
+    orbits, judged = [], []  # judged[i]: the compiled option of bit 1 << i
     for (r, d), ks in by_counts.items():
         reals, decoys = equilibrium._Parts(r, widths[0]), equilibrium._Parts(d, widths[1])
-        compiled = [equilibrium._compiled(ctx, ks[0], rc + dc, moves, next(ids))
-                    for rc in reals for dc in decoys]
-        orbits.append(list(combinations_with_replacement(compiled, len(ks))))
-    memo, found = {}, []
+        ids = range(len(judged), len(judged) + reals.size * decoys.size)
+        judged += [equilibrium._compiled(ctx, ks[0], rc + dc, moves)
+                   for rc in reals for dc in decoys]
+        orbits.append(list(combinations_with_replacement(ids, len(ks))))
+    q, memo, found = ctx.tables.q, {}, []
     for representative in product(*orbits):
-        keys, options = zip(*chain.from_iterable(representative))
-        if equilibrium._is_nash_counts(ctx.tables, memo, options, keys) is not None:
-            rows = [sorted(option[1] for _, option in element) for element in representative]
+        ids = tuple(chain.from_iterable(representative))
+        bottom = Threshold.bottom([judged[i][0] for i in ids], q)
+        if bottom not in memo:
+            memo[bottom] = [Threshold(bottom, q), 0, 0]
+        mask = reduce(or_, (1 << i for i in ids))
+        if not equilibrium._judge(ctx.tables.verdicts, memo[bottom], mask, judged):
+            rows = [sorted(judged[i][2] for i in element) for element in representative]
             for arrangement in product(*map(equilibrium._distinct_permutations, rows)):
                 flat = tuple(chain.from_iterable(arrangement))
                 found.append(tuple(flat[i] for i in place))

@@ -486,6 +486,27 @@ def test_cli_commitment_refuses_a_bad_decoy_count_before_printing(tmp_path, caps
     assert "error: --decoys-to-slot1 outside 0..total decoys" in captured.err
 
 
+# A strong6 tie price above V: a real voter tied on slot two sells at delta
+# if drawn, so slot two is not dominated for him.
+PREMISE = dict(GOOD, districts=[{"real": 1, "decoy": 1}] * 3, delta=150, menu="strong6")
+PREMISE_FAILS = ("the dominance filter's premise fails at these prices: "
+                 "slot two is not dominated for a real voter")
+
+
+def test_cli_sweep_counts_no_filtered_equilibria_where_the_premise_fails(tmp_path, capsys):
+    path = write(tmp_path, PREMISE)
+    assert main(["sweep", "--scenario", path, "--param", "delta", "--from", "3", "--to", "150",
+                 "--steps", "4"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[-4:]]
+    assert [row[:5] for row in rows] == [["3", "3", "yes", "1", "yes"],
+                                         ["52", "52", "yes", "1", "yes"],
+                                         ["101", "101", "yes", "premise", "fails"],
+                                         ["150", "150", "yes", "premise", "fails"]]
+    assert main(["sweep", "--scenario", path, "--param", "delta", "--from", "101", "--to", "150",
+                 "--steps", "2", "--filter-dominated", "off"]) == 0
+    assert [line.split()[3] for line in capsys.readouterr().out.splitlines()[-2:]] == ["2", "2"]
+
+
 @pytest.mark.parametrize("argv, doc, message", [
     (["sequential"], dict(GOOD, q=2, delta=51),
      "tie price 51 is below the required minimum 52"),
@@ -504,9 +525,13 @@ def test_cli_commitment_refuses_a_bad_decoy_count_before_printing(tmp_path, caps
      "claim strong4-sigma-star is about the strong4 menu, but the scenario runs the weak4 menu"),
     (["verify", "--claim", "weak4-unique"], dict(GOOD, menu="strong6"),
      "claim weak4-unique is about the weak4 menu, but the scenario runs the strong6 menu"),
+    (["verify", "--claim", "thm2"], PREMISE, PREMISE_FAILS),
+    (["enumerate"], PREMISE, PREMISE_FAILS),
+    (["verify", "--claim", "prop2"], dict(GOOD, menu="strong4", epsilon=60), PREMISE_FAILS),
 ], ids=["sequential-below-floor", "sequential-strong6", "sweep-scan-cap",
         "commitment-verify-scan-cap", "run-commitment-menu", "verify-strong6-on-weak4",
-        "verify-strong4-on-weak4", "verify-weak4-on-strong6"])
+        "verify-strong4-on-weak4", "verify-weak4-on-strong6", "verify-strong6-premise",
+        "enumerate-strong6-premise", "verify-strong4-premise"])
 def test_cli_refuses_before_printing(tmp_path, capsys, argv, doc, message):
     assert main(argv + ["--scenario", write(tmp_path, doc)]) == 2
     captured = capsys.readouterr()

@@ -8,9 +8,10 @@ from math import comb
 
 import pytest
 
-from conftest import full_scan, orbit_scan_reference, scenario_for, sym
+from conftest import KEPT, full_scan, orbit_scan_reference, scenario_for, sym
 from devilsmenu import (
     MenuVariant,
+    PremiseFails,
     ProfileError,
     ScanCapExceeded,
     budget_bound,
@@ -28,10 +29,12 @@ from devilsmenu import equilibrium
 from devilsmenu.claims import check_instance, family_for, run_claim
 from devilsmenu.equilibrium import (
     VoterClass,
+    _FILTERED_MOVES,
     _MOVES,
     _PricingTables,
     _distinct_permutations,
     _pricing_tables,
+    filter_premise,
     real_deviation_expenditures,
     single_deviation_profile,
 )
@@ -460,8 +463,9 @@ def test_nash_memo_builds_one_threshold_per_bottom(monkeypatch):
     # distinct (bottom, option) it reaches, high options included; the
     # memo ends with the scan, so a second scan builds them all again.
     # Its blocks take 2455 Nash checks to cover the 7350 representatives.
+    # A check is one cut of a profile's keys to their bottom.
     builds, gains, checks = Counter(), Counter(), Counter()
-    build, check = Threshold.__init__, equilibrium._is_nash_counts
+    build, cut = Threshold.__init__, Threshold.bottom
 
     def counted_build(summary, keys, q):
         builds[tuple(keys)] += 1
@@ -471,13 +475,13 @@ def test_nash_memo_builds_one_threshold_per_bottom(monkeypatch):
         gains[tuple(summary.ranked), x, moves] += 1
         return gains_of(verdicts, summary, x, moves)
 
-    def counted_check(*args):
+    def counted_cut(keys, q):
         checks["nash"] += 1
-        return check(*args)
+        return cut(keys, q)
 
     monkeypatch.setattr(Threshold, "__init__", counted_build)
     monkeypatch.setattr(equilibrium, "_gains", counted_gains)
-    monkeypatch.setattr(equilibrium, "_is_nash_counts", counted_check)
+    monkeypatch.setattr(Threshold, "bottom", staticmethod(counted_cut))
     wide = scenario_for([(3, 4)] * 3 + [(2, 5)] * 2 + [(4, 3)] * 2, 3)
     for _ in range(2):
         builds.clear()
@@ -509,6 +513,42 @@ def test_no_scenario_state_outlives_the_families():
     gc.collect()
     assert sys.getallocatedblocks() - before < 5_000
     assert _pricing_tables.cache_info().currsize == 6
+
+
+# ------------------------------------------------------------------ premise
+
+def test_premise_refuses_a_strong6_tie_price_above_v():
+    # At delta = 150 > V a real voter tied on slot two sells at delta if
+    # drawn, so slot two is not dominated for him; the filtered verdicts
+    # (sigma-star unique) would rest on a false premise. Unfiltered, the
+    # scenario has two equilibria. At delta = 3 the premise holds.
+    s = make_scenario([(1, 1)] * 3, 100, 1, 150, 1, menu=MenuVariant.STRONG6)
+    message = ("the dominance filter's premise fails at these prices: "
+               "slot two is not dominated for a real voter")
+    for refused in (lambda: enumerate_equilibria(s), lambda: check_instance("thm2", s),
+                    lambda: run_claim("thm2", scenario=s)):
+        with pytest.raises(PremiseFails) as err:
+            refused()
+        assert str(err.value) == message
+    assert len(enumerate_equilibria(s, filter_dominated=False).equilibria) == 2
+    moved = CountProfile.from_counts(((1, 0, 0, 0, 1, 0),) + ((0, 1, 0, 0, 1, 0),) * 2)
+    assert deviation_payoff(s, moved, VoterClass(0, REAL, S1), S2) == Fraction(350, 3) > V
+    assert filter_premise(_pricing_tables(s.menu, 1, V, EPS, Fraction(3))) is None
+
+
+@pytest.mark.parametrize("claim", ["weak4-unique", "strong6-unique", "strong4-sigma-star"])
+def test_every_full_family_member_passes_the_premise(claim):
+    pricings = {(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
+                for s in family_for(claim, "full")}
+    assert pricings and all(filter_premise(_pricing_tables(*p)) is None for p in pricings)
+
+
+def test_filtered_moves_are_the_moves_between_kept_actions():
+    # The filtered game and its premise are one decision: its deviations
+    # are exactly the moves between the actions filter_premise keeps.
+    got = {(_MOVES[mv][1], _MOVES[mv][2], _MOVES[mv][3]) for mv, _, _ in _FILTERED_MOVES}
+    assert got == {(voter_type, a, b) for voter_type, kept in KEPT.items()
+                   for a in kept for b in kept if a != b}
 
 
 # ----------------------------------------------------------------- sabotage

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from devilsmenu import (
@@ -25,6 +26,7 @@ from devilsmenu import (
     verify_sabotage_bound,
 )
 from devilsmenu import equilibrium
+from devilsmenu.claims import family_for
 from devilsmenu.cli import _mc_batch
 from devilsmenu.equilibrium import (
     VoterClass, _Ctx, _PricingTables, enumerate_equilibria, real_deviation_expenditures,
@@ -36,7 +38,7 @@ from devilsmenu.mechanism import (
     voter_payoff,
 )
 from devilsmenu.model import MAX_SEED
-from conftest import full_scan, orbit_scan_reference, replay_fair_draw
+from conftest import KEPT, full_scan, orbit_scan_reference, replay_fair_draw
 from oracles import (
     ABOVE, BELOW, TIED, oracle_expected_expenditure, oracle_expected_payoff,
     oracle_expenditure_bound, oracle_partition, oracle_tie_payoff_gap, per_citizen_equilibria,
@@ -594,16 +596,20 @@ def two_or_three_district_types(draw):
 def test_block_scan_equals_orbit_scan_reference(monkeypatch):
     # The block scan lists the equilibria of the per-representative scan,
     # in its order, and across the sample some of them are recorded through
-    # high options: _passing runs only for j > 0, and every option it
-    # returns completes at least one equilibrium.
-    passed, passing = [], equilibrium._passing
+    # high options. A check's mask holds the districts of its bottom, so a
+    # judge call on one option whose key lies above its entry's bottom is a
+    # high option's, made only for j > 0, and one that passes completes at
+    # least one equilibrium.
+    passed, judge = [], equilibrium._judge
 
-    def counted_passing(*args):
-        got = passing(*args)
-        passed.append(len(got))
+    def counted_judge(verdicts, entry, mask, judged):
+        got = judge(verdicts, entry, mask, judged)
+        lone = mask & (mask - 1) == 0
+        if lone and not got and judged[mask.bit_length() - 1][0] > entry[0].ranked[-1]:
+            passed.append(mask)
         return got
 
-    monkeypatch.setattr(equilibrium, "_passing", counted_passing)
+    monkeypatch.setattr(equilibrium, "_judge", counted_judge)
 
     @given(two_or_three_district_types())
     @example((make_scenario([(1, 1)] * 3 + [(1, 2)] * 2, 100, 1, 36, 2), False))
@@ -615,6 +621,94 @@ def test_block_scan_equals_orbit_scan_reference(monkeypatch):
 
     agrees()
     assert any(passed)
+
+
+@st.composite
+def premise_scenarios(draw):
+    """2 or 3 districts of 1 or 2 real and 0 to 2 decoy ballots, any q, one
+    of the three menus, and rational V, eps and delta, delta up to 2V."""
+    k = draw(st.integers(2, 3))
+    districts = draw(st.lists(st.sampled_from([(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]),
+                              min_size=k, max_size=k))
+    v = draw(st.fractions(min_value=1, max_value=200, max_denominator=4))
+    eps = draw(st.fractions(min_value=Fraction(1, 4), max_value=v, max_denominator=4))
+    delta = draw(st.fractions(min_value=Fraction(1, 4), max_value=2 * v, max_denominator=4))
+    menu = draw(st.sampled_from(MENUS))
+    return make_scenario(districts, v, eps, delta, draw(st.integers(1, k)), menu=menu)
+
+
+def dropped_action_pays_more(s):
+    """Whether some unfiltered profile of s has a voter on a kept action whose
+    move to a dropped one pays strictly more, by the oracle's draw
+    enumeration. A payoff reads only the districts' slot-one counts, so of
+    each district's rows one is taken per (slot-one count, kept classes
+    occupied): the profiles left differ in nothing a payoff reads."""
+    def splits(n):
+        return [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+
+    kept = [(voter_type, action) for voter_type in KEPT for action in KEPT[voter_type]]
+    options = []
+    for d in s.districts:
+        rows = {}
+        for row in (rc + dc for rc in splits(d.real_count) for dc in splits(d.decoy_count)):
+            rows.setdefault((row[0] + row[3], tuple(row[CLASS_SLOTS[c]] > 0 for c in kept)), row)
+        options.append(list(rows.values()))
+    paid = {}
+
+    def pay(counts, k, voter_type, action):
+        key = (tuple(c[0] + c[3] for c in counts), k, voter_type, action)
+        if key not in paid:
+            paid[key] = oracle_expected_payoff(s, counts, k, voter_type, action)
+        return paid[key]
+
+    for counts in product(*options):
+        for k, row in enumerate(counts):
+            for voter_type, action in kept:
+                idx = CLASS_SLOTS[voter_type, action]
+                if not row[idx]:
+                    continue
+                stay = pay(counts, k, voter_type, action)
+                for alt in (S1, S2, ABSTAIN):
+                    if alt in KEPT[voter_type]:
+                        continue
+                    moved = list(row)
+                    moved[idx] -= 1
+                    moved[CLASS_SLOTS[voter_type, alt]] += 1
+                    after = counts[:k] + (tuple(moved),) + counts[k + 1:]
+                    if pay(after, k, voter_type, alt) > stay:
+                        return True
+    return False
+
+
+def test_filter_premise_never_passes_where_a_dropped_action_pays_more():
+    # The premise check is sound: wherever a brute force over the unfiltered
+    # profiles finds a voter gaining strictly by a dropped action, the
+    # check fails. Across the sample the brute force does find some.
+    found = []
+
+    @given(premise_scenarios())
+    @example(make_scenario([(1, 1)] * 3, 100, 1, 150, 1, menu=MenuVariant.STRONG6))
+    @settings(max_examples=80, deadline=None)
+    def sound(s):
+        tables = equilibrium._pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon,
+                                             s.delta)
+        gains = dropped_action_pays_more(s)
+        found.append(gains)
+        assert not gains or equilibrium.filter_premise(tables) is not None, s
+
+    sound()
+    assert any(found)
+
+
+@pytest.mark.parametrize("claim", ["weak4-unique", "strong6-unique", "strong4-sigma-star"])
+def test_no_dropped_action_pays_more_at_the_full_families_pricings(claim):
+    # Every pricing of the three full families passes the premise check,
+    # and the brute force agrees on k districts of (1, 1) ballots each.
+    pricings = {(s.menu, s.num_districts, s.target_count, s.real_value, s.epsilon, s.delta)
+                for s in family_for(claim, "full")}
+    for menu, k, q, v, eps, delta in pricings:
+        s = make_scenario([(1, 1)] * k, v, eps, delta, q, menu=menu)
+        assert not dropped_action_pays_more(s)
 
 
 # Counts rows of (2, 2) districts whose slot-one ratio is 0, 1 or 2.
