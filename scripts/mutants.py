@@ -76,11 +76,12 @@ BIT_IDS = """\
     judged = [option for _, options in compiled for option in options]
 """
 PREMISE_S2 = """\
-        if max(worth[REAL, S2], worth[REAL, ABSTAIN]) > v:
-            return "slot two is not dominated for a real voter"
+    if max(worth[_R2] for worth in worths) > kept:
+        return "slot two is not dominated for a real voter"
 """
 T_BLOCKS = (f"{T_PROP}::test_block_scan_equals_orbit_scan_reference",
             f"{T_EQ}::test_block_scan_equals_orbit_scan_reference_on_full_family")
+T_SETTLED = f"{T_PROP}::test_realized_payments_equal_citizen_by_citizen_settlement"
 SEQUENTIAL_RUN = "    outcomes = run_sequential(s, random.Random(seed))\n"
 SEQUENTIAL_HEADER = '    _print_scenario_header(s, "sequential", seed)\n'
 STATUS_ODDS_CODES = """\
@@ -149,7 +150,7 @@ MUTANTS = [
     Mutant("expanded equilibria left unsorted", EQUILIBRIUM,
            "    found.sort()\n", "",
            (f"{T_EQ}::test_orbit_scan_expands_every_arrangement_in_order",)),
-    Mutant("spend denominator over one status row only", EQUILIBRIUM,
+    Mutant("spend denominator over one status row only", MECHANISM,
            "return self.scale * t, tuple(paid)", "return self.scale, tuple(paid)",
            (f"{T_EQ}::test_sabotage_bound_symmetric_example",
             f"{T_PROP}::test_strong6_tied_expected_spend_matches_oracle")),
@@ -193,7 +194,7 @@ MUTANTS = [
            "return s.delta >= floor", "return s.delta > floor",
            (f"{T_EQ}::test_tie_payoff_gap_holds_on_family_members",
             f"{T_PROP}::test_tie_payoff_gap_matches_its_term_by_term_oracle")),
-    Mutant("a missing verdict read as no gain", EQUILIBRIUM,
+    Mutant("a missing verdict read as no gain", MECHANISM,
            f"        return {VERDICT}\n", "        return False\n",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",)),
     Mutant("verify checks a scenario of another menu", CLAIMS,
@@ -203,7 +204,7 @@ MUTANTS = [
     Mutant("an assert in model.py", "src/devilsmenu/model.py",
            "    out: list[str] = []\n", "    out: list[str] = []\n    assert s.districts\n",
            ("tests/test_source.py::test_src_has_no_assert_statements",)),
-    Mutant("abstainer payoff read as 0 in rows", EQUILIBRIUM,
+    Mutant("abstainer payoff read as 0 in rows", MECHANISM,
            "pay, value = 0, valuation(voter_type, v)", "pay, value = 0, 0",
            (f"{T_EQ}::test_pricing_tables_are_keyed_by_every_pricing_field",
             f"{T_EQ}::test_pricing_tables_fill_each_entry_once")),
@@ -211,7 +212,7 @@ MUTANTS = [
            "tau = self.tau if tau is None else tau", "tau = self.tau",
            (f"{T_PROP}::test_threshold_summary_moves_equal_partition_of_moved_vector",
             f"{T_PROP}::test_lone_deviation_spends_match_oracle")),
-    Mutant("__missing__ does not record", EQUILIBRIUM,
+    Mutant("__missing__ does not record", MECHANISM,
            "got = self[key] = self.fill(key)", "got = self.fill(key)",
            (f"{T_EQ}::test_pricing_tables_fill_each_entry_once",)),
     Mutant("the pool takes as many workers as asked", CLAIMS,
@@ -245,12 +246,12 @@ MUTANTS = [
     Mutant("subgame check ignores a failing round", VARIANTS,
            "            if not report.sigma_star_unique:\n                return False\n", "",
            T_ROUNDS),
-    Mutant("tied row weights swapped", EQUILIBRIUM,
+    Mutant("tied row weights swapped", MECHANISM,
            "for final, odds in status_odds(st, c, t, self.q)]",
            "for (final, _), (_, odds) in zip(status_odds(st, c, t, self.q),"
            " reversed(status_odds(st, c, t, self.q)))]",
            (f"{T_PROP}::test_pricing_rows_equal_their_fraction_reference",)),
-    Mutant("verdict compares numerators over different denominators", EQUILIBRIUM,
+    Mutant("verdict compares numerators over different denominators", MECHANISM,
            VERDICT, "worth2[st2][CLASS_SLOTS[(voter_type, alt)]] > worth[st][idx]",
            (f"{T_EQ}::test_pricing_tables_fill_each_entry_once",)),
     Mutant("subparser metavar dropped", CLI,
@@ -314,6 +315,27 @@ MUTANTS = [
     Mutant("premise check drops a condition", EQUILIBRIUM, PREMISE_S2, "",
            (f"{T_EQ}::test_premise_refuses_a_strong6_tie_price_above_v",
             f"{T_PROP}::test_filter_premise_never_passes_where_a_dropped_action_pays_more")),
+    Mutant("premise read over every final status at q = k", EQUILIBRIUM,
+           "for final in (STATUSES if tables.q < k else (SELECTED_OUTRIGHT,))]",
+           "for final in STATUSES]",
+           (f"{T_EQ}::test_premise_reads_only_the_statuses_q_and_k_allow",
+            "tests/test_cli.py::test_cli_enumerate_filters_where_q_equals_k")),
+    Mutant("a drawn district paid at the not-selected row", MECHANISM,
+           "else SELECTED_BY_DRAW if k in selected else NOT_SELECTED)", "else NOT_SELECTED)",
+           (T_SETTLED,)),
+    Mutant("expenditure numerator read over the wrong denominator", MECHANISM,
+           "Fraction(total, tables.scale)", "Fraction(total, s.real_value.denominator)",
+           (T_SETTLED,)),
+    Mutant("class payment read over the wrong denominator", MECHANISM,
+           "Fraction(paid * count, tables.scale)", "Fraction(paid * count, s.real_value.denominator)",
+           (T_SETTLED,)),
+    Mutant("offer read at another status than its payment", MECHANISM,
+           "tables.offers[status])", "tables.offers[SELECTED_OUTRIGHT])",
+           (T_SETTLED,)),
+    Mutant("run classifies again for the expected spend", CLI,
+           "spend = expected_spend(s, profile, cl)",
+           "spend = expected_spend(s, profile, classify(s, profile))",
+           ("tests/test_cli.py::test_cli_run_builds_one_threshold",)),
     Mutant("_FILTERED_MOVES widened with no change to the check", EQUILIBRIUM,
            "if voter_type == DECOY and ABSTAIN not in (action, alt))", "if ABSTAIN not in (action, alt))",
            (f"{T_EQ}::test_filtered_moves_are_the_moves_between_kept_actions",)),

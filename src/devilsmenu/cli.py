@@ -31,7 +31,8 @@ from .mechanism import (
     CountProfile,
     budget_bound,
     classify,
-    execute,
+    execute_classified,
+    expected_spend,
     fair_draw_counts,
     minimal_delta,
     status_odds,
@@ -215,13 +216,11 @@ def _resolve_seed(args, s: Scenario) -> int:
 def _cmd_run(args) -> int:
     s = parse_scenario_file(args.scenario)
     seed = _resolve_seed(args, s)
-    if args.profile == "sigma-star":
-        profile = CountProfile.sigma_star(s)
-    else:
-        profile = parse_profile_file(args.profile, s)
+    profile = (CountProfile.sigma_star(s) if args.profile == "sigma-star"
+               else parse_profile_file(args.profile, s))
     cl = classify(s, profile)
-    outcome = execute(s, profile, random.Random(seed))
-    spend = expected_expenditure(s, profile)
+    outcome = execute_classified(s, profile, cl, random.Random(seed))
+    spend = expected_spend(s, profile, cl)
     if args.mc:
         rows = _mc_rows(cl, s.target_count,
                         _mc_counts(cl, s.target_count, seed, args.mc, args.workers), args.mc)
@@ -233,12 +232,10 @@ def _cmd_run(args) -> int:
     drawn = _fmt_set(outcome.drawn_from_tie)
     print(f"selected: {_fmt_set(outcome.selected)} (drawn from tie: {drawn})")
 
-    pay_rows = []
-    for (k, vtype, slot) in sorted(outcome.prices_paid):
-        pay = outcome.prices_paid[(k, vtype, slot)]
-        pay_rows.append((str(k), vtype, slot, str(pay.count),
-                         format_rational(pay.price), "yes" if pay.sells else "no",
-                         format_rational(pay.paid)))
+    payments = sorted(outcome.prices_paid.items())
+    pay_rows = [(str(k), vtype, slot, str(pay.count), format_rational(pay.price),
+                 "yes" if pay.sells else "no", format_rational(pay.paid))
+                for (k, vtype, slot), pay in payments]
     print("class payments:")
     print(_table(pay_rows, ("district", "type", "slot", "count", "price", "sells", "paid")))
     print(f"expenditure: {format_rational(outcome.expenditure)}"
@@ -269,10 +266,8 @@ def _cmd_run(args) -> int:
         _write_csv(args.out,
                    ("district", "type", "slot", "count", "price", "price_approx",
                     "sells", "paid", "paid_approx"),
-                   [(k, vtype, slot, pay.count, format_rational(pay.price),
-                     approx(pay.price), "yes" if pay.sells else "no",
-                     format_rational(pay.paid), approx(pay.paid))
-                    for (k, vtype, slot), pay in sorted(outcome.prices_paid.items())],
+                   [(*row[:5], approx(pay.price), *row[5:], approx(pay.paid))
+                    for row, (_, pay) in zip(pay_rows, payments)],
                    scenario=s)
     return 0
 

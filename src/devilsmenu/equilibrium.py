@@ -11,32 +11,31 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain, combinations_with_replacement, count, product
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import itemgetter, mul, or_
 from typing import Iterator, NamedTuple, Optional
 
 from .mechanism import (
+    _MOVES,
     ABSTAIN,
-    ACTIONS,
     CLASS_SLOTS,
     DECOY,
-    NOT_SELECTED,
     REAL,
     S1,
     S2,
+    SELECTED_OUTRIGHT,
     STATUSES,
     CountProfile,
     Threshold,
+    _PricingTables,
+    _tables_for,
     budget_bound,
+    classify,
+    expected_spend,
     key_steps,
-    price_table,
-    settle,
-    status_odds,
     tie_price_floor,
-    valuation,
-    voter_payoff,
 )
 from .model import MenuVariant, PremiseFails, ProfileError, ScanCapExceeded, Scenario
 
@@ -61,12 +60,6 @@ class EquilibriumReport(NamedTuple):
     candidates_checked: int
 
 
-# Every unilateral move of an occupied class, its move id being its position:
-# (index in a counts tuple, type, action, alternative, change in the
-# district's slot-one count).
-_MOVES = tuple((idx, voter_type, action, alt, (alt == S1) - (action == S1))
-               for (voter_type, action), idx in CLASS_SLOTS.items()
-               for alt in ACTIONS if alt != action)
 # What the deviation loop reads of a move: (move id, index, slot-one change).
 # The filtered game keeps only undominated actions: nobody abstains and real
 # voters sit on slot one, so only decoys move, between the two slots.
@@ -75,104 +68,31 @@ _FILTERED_MOVES = tuple((mv, idx, dm) for mv, (idx, voter_type, action, alt, dm)
                         if voter_type == DECOY and ABSTAIN not in (action, alt))
 
 
-class _Memo(dict):
-    """A dict that computes a missing entry as fill(key) and records it."""
-
-    def __init__(self, fill):
-        self.fill = fill
-
-    def __missing__(self, key):
-        got = self[key] = self.fill(key)
-        return got
+# The worths in a settled row that the premise reads.
+_R1, _R2, _RA, _D2 = (6 + CLASS_SLOTS[c]
+                      for c in ((REAL, S1), (REAL, S2), (REAL, ABSTAIN), (DECOY, S2)))
 
 
-class _PricingTables:
-    """The exact tables of one pricing (menu, q, V, eps, delta), shared by
-    every scenario with that pricing; each entry is filled on first lookup.
-
-    settled[final status] lists, in the order of a counts tuple, what one
-    voter of each class is paid once his district's status is final, then
-    what he ends up with: integer numerators over scale, the lcm of V's and
-    every price's denominator. rows[c, t] is (D, paid, worth) with
-    D = scale * t: paid[code] holds, for a district of that interim status
-    code, the expected payment to one voter of each class, and worth[code]
-    his expected payoff, each an integer numerator over D. A verdict,
-    verdicts[(status code, c, t) before, (status code, c, t) after, move
-    id], is whether the move strictly pays: two worths compared by
-    cross-multiplying each by the other's denominator. premise_failure is
-    filter_premise's reading of settled.
-    """
-
-    def __init__(self, menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
-                 delta: Fraction):
-        self.q = q
-        prices = price_table(menu, v, epsilon, delta)
-        self.scale = scale = lcm(v.denominator, *(f.denominator for f in prices.values()))
-        self.settled = {}
-        for final in STATUSES:
-            paid, worth = [], []
-            for voter_type, action in CLASS_SLOTS:
-                if action == ABSTAIN:  # no offer: he keeps his ballot
-                    pay, value = 0, valuation(voter_type, v)
-                else:
-                    price = prices[(action, final)]
-                    pay = settle(voter_type, price, 1, v).paid
-                    value = voter_payoff(voter_type, price, v)
-                paid.append(pay.numerator * (scale // pay.denominator))
-                worth.append(value.numerator * (scale // value.denominator))
-            self.settled[final] = paid + worth
-        self.rows = _Memo(self._row)
-        self.verdicts = _Memo(self._verdict)
-        self.premise_failure = filter_premise(self)
-
-    def _row(self, ct: tuple[int, int]) -> tuple[int, tuple, tuple]:
-        c, t = ct
-        paid, worth = [], []  # by status code, then by class
-        for st in (0, 1, 2):
-            # Each final status weighs by its odds times t, an integer: t
-            # when the status is certain, else q - c drawn and t - q + c not.
-            terms = [[odds.numerator * (t // odds.denominator) * x for x in self.settled[final]]
-                     for final, odds in status_odds(st, c, t, self.q)]
-            total = tuple(map(sum, zip(*terms)))
-            paid.append(total[:6])
-            worth.append(total[6:])
-        return self.scale * t, tuple(paid), tuple(worth)
-
-    def _verdict(self, key: tuple[int, ...]) -> bool:
-        st, c, t, st2, c2, t2, mv = key
-        idx, voter_type, _, alt, _ = _MOVES[mv]
-        d, _, worth = self.rows[c, t]
-        d2, _, worth2 = self.rows[c2, t2]
-        return worth2[st2][CLASS_SLOTS[(voter_type, alt)]] * d > worth[st][idx] * d2
-
-
-def filter_premise(tables: _PricingTables) -> Optional[str]:
-    """None when the dominance filter's premise holds at this pricing, else
-    why it fails, naming the dropped action that is not dominated.
+def filter_premise(tables: _PricingTables, k: int) -> Optional[str]:
+    """None when the dominance filter's premise holds at this pricing for k
+    districts, else why it fails, naming the dropped action not dominated.
 
     The filtered game drops abstention and real voters' slot two. That is
-    sound when, in every final status, a real voter gets at least V on slot
-    one and at most V on slot two or abstaining, and a decoy gets at least
-    0 on slot two, what abstaining gives him: the kept action's worst then
-    pays at least the dropped one's best, whatever a move does to the
-    mover's district. The check is sufficient, not necessary.
+    sound when, over the final statuses q and k allow (only selected
+    outright when q = k), a real voter's worst on slot one is at least V,
+    what abstaining gives, and at least his best on slot two, and a decoy
+    gets at least 0 on slot two. It is sufficient, not necessary.
     """
-    v = tables.settled[NOT_SELECTED][6 + CLASS_SLOTS[REAL, ABSTAIN]]  # he keeps his ballot
-    for settled in tables.settled.values():
-        worth = dict(zip(CLASS_SLOTS, settled[6:]))
-        if worth[REAL, S1] < v:
-            return "abstaining is not dominated for a real voter"
-        if max(worth[REAL, S2], worth[REAL, ABSTAIN]) > v:
-            return "slot two is not dominated for a real voter"
-        if worth[DECOY, S2] < 0:
-            return "abstaining is not dominated for a decoy"
+    worths = [tables.settled[final]
+              for final in (STATUSES if tables.q < k else (SELECTED_OUTRIGHT,))]
+    kept = min(worth[_R1] for worth in worths)
+    if kept < worths[0][_RA]:  # he keeps his ballot, worth V
+        return "abstaining is not dominated for a real voter"
+    if max(worth[_R2] for worth in worths) > kept:
+        return "slot two is not dominated for a real voter"
+    if min(worth[_D2] for worth in worths) < 0:
+        return "abstaining is not dominated for a decoy"
     return None
-
-
-@lru_cache(maxsize=32)
-def _pricing_tables(menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
-                    delta: Fraction) -> _PricingTables:
-    return _PricingTables(menu, q, v, epsilon, delta)
 
 
 class _Ctx:
@@ -189,7 +109,7 @@ class _Ctx:
         self.scale, self.steps = key_steps(s)
         self.n_real = tuple(d.real_count for d in s.districts)
         self.n_decoy = tuple(d.decoy_count for d in s.districts)
-        self.tables = _pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
+        self.tables = _tables_for(s)
 
     def keys(self, counts) -> list[int]:
         """The slot-one key of each district of counts, which must fit."""
@@ -475,9 +395,9 @@ def enumerate_equilibria(
     candidates = prod((reals.size * decoys.size) ** len(ks) for ks, reals, decoys in groups)
     if candidates > scan_cap:
         raise ScanCapExceeded(candidates, scan_cap)
-    if filter_dominated and ctx.tables.premise_failure:
-        raise PremiseFails("the dominance filter's premise fails at these prices: "
-                           + ctx.tables.premise_failure)
+    failure = filter_dominated and filter_premise(ctx.tables, len(ctx.steps))
+    if failure:
+        raise PremiseFails("the dominance filter's premise fails at these prices: " + failure)
     found, checked = _orbit_scan(ctx, groups, filter_dominated)
     space = candidates * prod(r + 1 for r in ctx.n_real) if filter_dominated else candidates
     present = CountProfile.sigma_star(s).as_counts() in found
@@ -491,20 +411,9 @@ def enumerate_equilibria(
 
 
 def expected_expenditure(s: Scenario, p: CountProfile) -> Fraction:
-    """Expected total payment under p, exact over the fair draw.
-
-    A voter's payment depends only on his class and his district's final
-    status, so the total is each class's count times its per-voter expected
-    spend over the status odds; no draw is enumerated.
-    """
-    p.check_against(s)
-    ctx = _Ctx(s)
-    counts = p.as_counts()
-    keys = ctx.keys(counts)
-    summary = Threshold(keys, ctx.tables.q)
-    d, paid, _ = ctx.tables.rows[summary.c, summary.t]
-    total = sum(sum(map(mul, cnt, paid[summary.status(x)])) for cnt, x in zip(counts, keys))
-    return Fraction(total, d)
+    """Expected total payment under p, exact over the fair draw: the
+    expected_spend of p's classification; no draw is enumerated."""
+    return expected_spend(s, p, classify(s, p))
 
 
 def _moved_row(row: tuple, district: int, voter_type: str, new_action: str) -> tuple:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from math import inf, lcm
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import (
@@ -298,18 +300,6 @@ def status_odds(interim: int, c: int, t: int, q: int) -> tuple[tuple[str, Fracti
     return ((SELECTED_BY_DRAW, p_draw), (NOT_SELECTED, 1 - p_draw))
 
 
-def district_status(k: int, cl: Classification, selected: frozenset[int], q: int) -> str:
-    """Final status for pricing, once the draw is made.
-
-    When status_odds leaves a single status (below, above, or a degenerate
-    draw) that is the status; otherwise it is whether k was drawn.
-    """
-    odds = status_odds(cl.interim(k), cl.c, cl.t, q)
-    if len(odds) == 1:
-        return odds[0][0]
-    return SELECTED_BY_DRAW if k in selected else NOT_SELECTED
-
-
 def price_for(
     menu: MenuVariant,
     slot: str,
@@ -324,7 +314,7 @@ def price_for(
     menu pays slot-two applicants V - eps in outright-selected districts and
     delta in draw-selected ones. Status assignment, including the degenerate
     draw that makes a tied district certain, lives in status_odds. Callers
-    read prices from price_table, which calls this once per entry.
+    read prices from the per-pricing tables, built once by price_table.
     """
     if menu.tag == "commitment":
         raise ValueError("the commitment menu is districtless; use variants.run_commitment")
@@ -348,11 +338,8 @@ def price_for(
 def price_table(menu: MenuVariant, v: Fraction, epsilon: Fraction,
                 delta: Fraction) -> dict[tuple[str, str], Fraction]:
     """The menu at these prices: the price offered per (slot, final status)."""
-    return {
-        (slot, status): price_for(menu, slot, status, v, epsilon, delta)
-        for slot in SLOTS
-        for status in STATUSES
-    }
+    return {(slot, status): price_for(menu, slot, status, v, epsilon, delta)
+            for slot in SLOTS for status in STATUSES}
 
 
 def commitment_price(slot: str, overflow: bool, v: Fraction, epsilon: Fraction) -> Fraction:
@@ -395,6 +382,98 @@ def voter_payoff(voter_type: str, price: Fraction, v: Fraction) -> Fraction:
     return price if sell_decision(voter_type, price, v) else valuation(voter_type, v)
 
 
+# Every unilateral move of an occupied class, its move id being its position:
+# (index in a counts tuple, type, action, alternative, change in the
+# district's slot-one count).
+_MOVES = tuple((idx, voter_type, action, alt, (alt == S1) - (action == S1))
+               for (voter_type, action), idx in CLASS_SLOTS.items()
+               for alt in ACTIONS if alt != action)
+
+
+class _Memo(dict):
+    """A dict that computes a missing entry as fill(key) and records it."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        got = self[key] = self.fill(key)
+        return got
+
+
+class _PricingTables:
+    """The exact tables of one pricing (menu, q, V, eps, delta), shared by
+    every scenario with that pricing and by runs, expected spends, payoffs
+    and Nash checks alike; each entry is filled on first lookup.
+
+    settled[final status] lists, in the order of a counts tuple, what one
+    voter of each class is paid once his district's status is final, then
+    what he ends up with: integer numerators over scale, the lcm of V's and
+    every price's denominator; offers[final status] holds settle's
+    ClassPayment to one voter of each class (None for abstainers), from
+    price_table's menu. rows[c, t] is (D, paid, worth) with
+    D = scale * t: paid[code] holds, for a district of that interim status
+    code, the expected payment to one voter of each class, and worth[code]
+    his expected payoff, each an integer numerator over D. A verdict,
+    verdicts[(status code, c, t) before, (status code, c, t) after, move
+    id], is whether the move strictly pays: two worths compared by
+    cross-multiplying each by the other's denominator.
+    """
+
+    def __init__(self, menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
+                 delta: Fraction):
+        self.q = q
+        prices = price_table(menu, v, epsilon, delta)
+        self.scale = scale = lcm(v.denominator, *(f.denominator for f in prices.values()))
+        self.settled, self.offers = {}, {}
+        for final in STATUSES:
+            paid, worth, offers = [], [], []
+            for voter_type, action in CLASS_SLOTS:
+                if action == ABSTAIN:  # no offer: he keeps his ballot
+                    pay, value = 0, valuation(voter_type, v)
+                    offers.append(None)
+                else:
+                    offers.append(settle(voter_type, prices[(action, final)], 1, v))
+                    pay, value = offers[-1].paid, voter_payoff(voter_type, offers[-1].price, v)
+                paid.append(pay.numerator * (scale // pay.denominator))
+                worth.append(value.numerator * (scale // value.denominator))
+            self.settled[final] = paid + worth
+            self.offers[final] = offers
+        self.rows = _Memo(self._row)
+        self.verdicts = _Memo(self._verdict)
+
+    def _row(self, ct: tuple[int, int]) -> tuple[int, tuple, tuple]:
+        c, t = ct
+        paid, worth = [], []  # by status code, then by class
+        for st in (0, 1, 2):
+            # Each final status weighs by its odds times t, an integer: t
+            # when the status is certain, else q - c drawn and t - q + c not.
+            terms = [[odds.numerator * (t // odds.denominator) * x for x in self.settled[final]]
+                     for final, odds in status_odds(st, c, t, self.q)]
+            total = tuple(map(sum, zip(*terms)))
+            paid.append(total[:6])
+            worth.append(total[6:])
+        return self.scale * t, tuple(paid), tuple(worth)
+
+    def _verdict(self, key: tuple[int, ...]) -> bool:
+        st, c, t, st2, c2, t2, mv = key
+        idx, voter_type, _, alt, _ = _MOVES[mv]
+        d, _, worth = self.rows[c, t]
+        d2, _, worth2 = self.rows[c2, t2]
+        return worth2[st2][CLASS_SLOTS[(voter_type, alt)]] * d > worth[st][idx] * d2
+
+
+@lru_cache(maxsize=32)
+def _pricing_tables(menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
+                    delta: Fraction) -> _PricingTables:
+    return _PricingTables(menu, q, v, epsilon, delta)
+
+
+def _tables_for(s: Scenario) -> _PricingTables:
+    """The shared tables of s's pricing."""
+    return _pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
+
+
 class Outcome(NamedTuple):
     """Realized run: who was selected, who sold, and what it cost."""
 
@@ -412,36 +491,52 @@ class Outcome(NamedTuple):
 def payments_for_selection(
     s: Scenario, p: CountProfile, cl: Classification, selected: frozenset[int]
 ) -> tuple[dict[tuple[int, str, str], ClassPayment], Fraction, tuple[int, ...]]:
-    """Price every applicant class under a fixed final selection.
+    """Price every applicant class under a fixed final selection, off the
+    per-pricing table's row for its district's final status: the one
+    status_odds leaves for its interim status, else whether it was drawn.
 
     Abstainers and empty classes receive no offer. Expenditure sums accepted
-    sales only.
+    sales only, as integer numerators over the table's scale.
     """
-    prices = price_table(s.menu, s.real_value, s.epsilon, s.delta)
-    prices_paid: dict[tuple[int, str, str], ClassPayment] = {}
-    expenditure = Fraction(0)
-    acquired = []
+    tables = _tables_for(s)
+    odds = [status_odds(code, cl.c, cl.t, s.target_count) for code in (0, 1, 2)]
+    prices_paid, total, acquired = {}, 0, []
     for k, ac in enumerate(p.per_district):
-        got_real = 0
-        status = district_status(k, cl, selected, s.target_count)
-        for (voter_type, action), count in zip(CLASS_SLOTS, ac):
-            if action == ABSTAIN or not count:
+        certain, got_real = odds[cl.interim(k)], 0
+        status = (certain[0][0] if len(certain) == 1
+                  else SELECTED_BY_DRAW if k in selected else NOT_SELECTED)
+        for (voter_type, action), count, paid, offer in zip(
+                CLASS_SLOTS, ac, tables.settled[status], tables.offers[status]):
+            if offer is None or not count:
                 continue
-            pay = settle(voter_type, prices[(action, status)], count, s.real_value)
-            prices_paid[(k, voter_type, action)] = pay
-            expenditure += pay.paid
-            if voter_type == REAL and pay.sells:
-                got_real += pay.count
+            total += paid * count
+            prices_paid[(k, voter_type, action)] = ClassPayment(
+                offer.price, offer.sells, count, Fraction(paid * count, tables.scale))
+            if voter_type == REAL and offer.sells:
+                got_real += count
         acquired.append(got_real)
-    return prices_paid, expenditure, tuple(acquired)
+    return prices_paid, Fraction(total, tables.scale), tuple(acquired)
+
+
+def execute_classified(s: Scenario, p: CountProfile, cl: Classification,
+                       rng: random.Random) -> Outcome:
+    """Run the mechanism once on p, classified as cl: select, price, settle."""
+    selected, drawn = select_districts(cl, s.target_count, rng)
+    return Outcome(selected, drawn, *payments_for_selection(s, p, cl, selected))
 
 
 def execute(s: Scenario, p: CountProfile, rng: random.Random) -> Outcome:
     """Run the mechanism once: classify, select, price, settle."""
-    cl = classify(s, p)
-    selected, drawn = select_districts(cl, s.target_count, rng)
-    prices_paid, expenditure, acquired = payments_for_selection(s, p, cl, selected)
-    return Outcome(selected, drawn, prices_paid, expenditure, acquired)
+    return execute_classified(s, p, classify(s, p), rng)
+
+
+def expected_spend(s: Scenario, p: CountProfile, cl: Classification) -> Fraction:
+    """Expected total payment under p, classified as cl, exact over the
+    fair draw: each class's count times its per-voter expected payment at
+    its district's interim status, read off the per-pricing rows[c, t]."""
+    d, paid, _ = _tables_for(s).rows[cl.c, cl.t]
+    return Fraction(sum(sum(map(mul, cnt, paid[cl.interim(k)]))
+                        for k, cnt in enumerate(p.per_district)), d)
 
 
 def budget_bound(s: Scenario) -> Fraction:

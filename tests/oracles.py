@@ -116,6 +116,30 @@ def oracle_expected_expenditure(scenario, counts):
     return total
 
 
+def oracle_settlement(scenario, counts, below, drawn, certain):
+    """One fixed final selection settled citizen by citizen: each voter on a
+    slot is offered that slot's price at his district's final status and
+    sells when it beats his valuation; abstainers get no offer. Returns
+    the classes as {(district, type, slot): (price, sells, count, paid)},
+    the expenditure and the real ballots acquired per district."""
+    v, eps, delta = scenario.real_value, scenario.epsilon, scenario.delta
+    classes, spend, acquired = {}, Fraction(0), [0] * len(counts)
+    for k, cnt in enumerate(counts):
+        status = _status(k, below, drawn, certain)
+        for voter_type, valuation, idx in ((REAL, v, 0), (DECOY, Fraction(0), 3)):
+            for slot, off in ((S1, 0), (S2, 1)):
+                for _ in range(cnt[idx + off]):
+                    price = oracle_price(scenario.menu.tag, slot, status, v, eps, delta)
+                    sells = price > valuation
+                    _, _, n, paid = classes.get((k, voter_type, slot), (None, None, 0, 0))
+                    classes[(k, voter_type, slot)] = (price, sells, n + 1,
+                                                      paid + (price if sells else 0))
+                    if sells:
+                        spend += price
+                        acquired[k] += voter_type == REAL
+    return classes, spend, tuple(acquired)
+
+
 def oracle_expenditure_bound(scenario, inside_decoy_price, outside_decoy_price):
     """Largest spend over every q-subset of districts: real ballots inside at
     V + eps, decoys inside and outside at the given prices."""

@@ -11,6 +11,7 @@ import pytest
 import devilsmenu
 from devilsmenu import ScenarioFormatError, execute
 from devilsmenu.cli import main, parse_profile_file, parse_scenario_file, scenario_echo
+from devilsmenu.mechanism import Threshold
 
 GOOD = {
     "districts": [{"real": 2, "decoy": 2}, {"real": 2, "decoy": 2}, {"real": 2, "decoy": 2}],
@@ -131,6 +132,42 @@ def test_cli_run_many_districts_uses_closed_forms(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "expected expenditure over the draw: 6200\n" in out
     assert "expenditure bound: 6200\n" in out
+
+
+def test_cli_run_builds_one_threshold(tmp_path, capsys, monkeypatch):
+    # One interim classification of the profile serves the printed
+    # partition, the draw and settlement, the expected spend and the
+    # Monte Carlo tally: run builds one Threshold.
+    builds = []
+    build = Threshold.__init__
+
+    def counted(summary, keys, q):
+        builds.append(tuple(keys))
+        build(summary, keys, q)
+
+    monkeypatch.setattr(Threshold, "__init__", counted)
+    path = write(tmp_path, GOOD)
+    for extra in ([], ["--out", str(tmp_path / "run.csv")], ["--mc", "30", "--workers", "1"]):
+        builds.clear()
+        assert main(["run", "--scenario", path, *extra]) == 0
+        assert "expected expenditure over the draw: " in capsys.readouterr().out
+        assert builds == [(2, 2, 2)], extra  # two slot-one applicants each, step 1
+
+
+def test_cli_enumerate_filters_where_q_equals_k(tmp_path, capsys):
+    # strong6 at delta = 150 > V with q = k: every district is selected
+    # outright, so the filter's premise holds and the filtered scan prints
+    # the unfiltered one's only equilibrium, every voter on slot one.
+    doc = {"districts": [{"real": 1, "decoy": 1}] * 3, "V": 100, "epsilon": 1, "delta": 150,
+           "q": 3, "menu": "strong6"}
+    path = write(tmp_path, doc)
+    found = []
+    for mode in ("on", "off"):
+        assert main(["enumerate", "--scenario", path, "--filter-dominated", mode]) == 0
+        found.append(capsys.readouterr().out.split("equilibria found: ")[1])
+    assert found[0] == found[1]
+    assert found[0].startswith("1\nsigma-star present: no\nsigma-star unique: no\n")
+    assert found[0].count("1        0        0             1         0         0\n") == 3
 
 
 def test_cli_run_csv_deterministic(tmp_path, capsys):

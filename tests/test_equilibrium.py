@@ -30,17 +30,14 @@ from devilsmenu.claims import check_instance, family_for, run_claim
 from devilsmenu.equilibrium import (
     VoterClass,
     _FILTERED_MOVES,
-    _MOVES,
-    _PricingTables,
     _distinct_permutations,
-    _pricing_tables,
     filter_premise,
     real_deviation_expenditures,
     single_deviation_profile,
 )
 from devilsmenu.mechanism import (
-    DECOY, REAL, S1, S2, ABSTAIN, CLASS_SLOTS, CountProfile, Threshold, price_table, settle,
-    status_odds, voter_payoff,
+    _MOVES, DECOY, REAL, S1, S2, ABSTAIN, CLASS_SLOTS, CountProfile, Threshold, _PricingTables,
+    _pricing_tables, price_table, settle, status_odds, voter_payoff,
 )
 from oracles import oracle_expected_expenditure, oracle_expected_payoff, per_citizen_equilibria
 
@@ -533,14 +530,34 @@ def test_premise_refuses_a_strong6_tie_price_above_v():
     assert len(enumerate_equilibria(s, filter_dominated=False).equilibria) == 2
     moved = CountProfile.from_counts(((1, 0, 0, 0, 1, 0),) + ((0, 1, 0, 0, 1, 0),) * 2)
     assert deviation_payoff(s, moved, VoterClass(0, REAL, S1), S2) == Fraction(350, 3) > V
-    assert filter_premise(_pricing_tables(s.menu, 1, V, EPS, Fraction(3))) is None
+    assert filter_premise(_pricing_tables(s.menu, 1, V, EPS, Fraction(3)), 3) is None
+
+
+def test_premise_reads_only_the_statuses_q_and_k_allow():
+    # With q = k every district is selected outright, so only that row of
+    # the table is ever paid. The strong6 pricing refused at q = 1 passes
+    # at q = k = 3, and the filtered scan finds the unfiltered scan's only
+    # equilibrium, every voter on slot one, sigma-star absent.
+    s = make_scenario([(1, 1)] * 3, 100, 1, 150, 3, menu=MenuVariant.STRONG6)
+    filtered, unfiltered = (enumerate_equilibria(s, filter_dominated=f) for f in (True, False))
+    every_s1 = CountProfile.from_counts(((1, 0, 0, 1, 0, 0),) * 3)
+    assert filtered.equilibria == unfiltered.equilibria == (every_s1,)
+    assert not filtered.sigma_star_present
+    assert not check_instance("thm2", s).passed  # a verdict, not a refusal
+    # weak4 at k = q = 2 pays delta = 209 > V on slot two, but a real voter
+    # selected outright gets V + eps = 895/4 on slot one; with a third
+    # district he may end not selected on slot one and keep only V.
+    tables = _pricing_tables(MenuVariant.WEAK4, 2, Fraction(475, 4), Fraction(209, 2),
+                             Fraction(209))
+    assert filter_premise(tables, 2) is None
+    assert filter_premise(tables, 3) == "slot two is not dominated for a real voter"
 
 
 @pytest.mark.parametrize("claim", ["weak4-unique", "strong6-unique", "strong4-sigma-star"])
 def test_every_full_family_member_passes_the_premise(claim):
-    pricings = {(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
+    pricings = {(s.num_districts, (s.menu, s.target_count, s.real_value, s.epsilon, s.delta))
                 for s in family_for(claim, "full")}
-    assert pricings and all(filter_premise(_pricing_tables(*p)) is None for p in pricings)
+    assert pricings and all(filter_premise(_pricing_tables(*p), k) is None for k, p in pricings)
 
 
 def test_filtered_moves_are_the_moves_between_kept_actions():

@@ -1,6 +1,7 @@
 """Property-based checks of the library's structural invariants."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from devilsmenu import (
     MenuVariant,
+    PremiseFails,
     brute_force_cost,
     budget_bound,
     classify,
@@ -25,23 +27,25 @@ from devilsmenu import (
     validate_scenario,
     verify_sabotage_bound,
 )
-from devilsmenu import equilibrium
+from devilsmenu import equilibrium, mechanism
 from devilsmenu.claims import family_for
 from devilsmenu.cli import _mc_batch
 from devilsmenu.equilibrium import (
-    VoterClass, _Ctx, _PricingTables, enumerate_equilibria, real_deviation_expenditures,
+    VoterClass, _Ctx, enumerate_equilibria, real_deviation_expenditures,
     single_deviation_profile,
 )
 from devilsmenu.mechanism import (
-    ABSTAIN, CLASS_SLOTS, DECOY, REAL, S1, S2, Classification, CountProfile, Threshold,
+    ABSTAIN, CLASS_SLOTS, DECOY, REAL, S1, S2, Classification, CountProfile, Threshold, _PricingTables,
     payments_for_selection, price_table, settle, status_odds, tie_price_floor, valuation,
     voter_payoff,
 )
 from devilsmenu.model import MAX_SEED
 from conftest import KEPT, full_scan, orbit_scan_reference, replay_fair_draw
+import oracles
 from oracles import (
     ABOVE, BELOW, TIED, oracle_expected_expenditure, oracle_expected_payoff,
-    oracle_expenditure_bound, oracle_partition, oracle_tie_payoff_gap, per_citizen_equilibria,
+    oracle_expenditure_bound, oracle_partition, oracle_settlement, oracle_tie_payoff_gap,
+    per_citizen_equilibria,
 )
 
 MENUS = (MenuVariant.WEAK4, MenuVariant.STRONG4, MenuVariant.STRONG6)
@@ -163,6 +167,64 @@ def test_realized_spend_averages_to_expected_spend(sp):
     draws = list(combinations(sorted(cl.tied), s.target_count - cl.c))
     spends = [payments_for_selection(s, p, cl, cl.below | frozenset(d))[1] for d in draws]
     assert sum(spends) / len(draws) == expected_expenditure(s, p)
+
+
+@st.composite
+def settlement_cases(draw):
+    """2 to 4 districts of 1 to 3 real and 0 to 3 decoy ballots, any q, one
+    of the three menus, rational V, eps and delta (delta up to 2V), and a
+    profile whose voters of each type split over both slots and abstention."""
+    k = draw(st.integers(2, 4))
+    districts = [(draw(st.integers(1, 3)), draw(st.integers(0, 3))) for _ in range(k)]
+    v = draw(st.fractions(min_value=1, max_value=200, max_denominator=6))
+    eps = draw(st.fractions(min_value=Fraction(1, 6), max_value=v, max_denominator=6))
+    delta = draw(st.fractions(min_value=Fraction(1, 6), max_value=2 * v, max_denominator=6))
+    s = make_scenario(districts, v, eps, delta, draw(st.integers(1, k)),
+                      menu=draw(st.sampled_from(MENUS)))
+    counts = []
+    for n_real, n_decoy in districts:
+        row = []
+        for n in (n_real, n_decoy):
+            a = draw(st.integers(0, n))
+            b = draw(st.integers(0, n - a))
+            row += [a, b, n - a - b]
+        counts.append(tuple(row))
+    return s, tuple(counts)
+
+
+def test_realized_payments_equal_citizen_by_citizen_settlement():
+    # Every draw of the fair draw, each settled by payments_for_selection
+    # and by the oracle citizen by citizen with transcribed prices: class
+    # payments, expenditure and acquired real ballots agree, and so does a
+    # seeded execute on the draw it makes. The sample holds abstainers,
+    # real voters on slot two, and districts drawn from a real draw.
+    seen = Counter()
+
+    @given(settlement_cases(), st.integers(0, 2**32))
+    @settings(max_examples=120, deadline=None)
+    def agrees(case, seed):
+        s, counts = case
+        p = CountProfile.from_counts(counts)
+        cl = classify(s, p)
+        below, tied = oracles._classify([c[0] + c[3] for c in counts],
+                                        [d.real_count for d in s.districts], s.target_count)
+        combos, _, certain = oracles._draws(below, tied, s.target_count)
+        for drawn in combos:
+            paid, spend, acquired = payments_for_selection(
+                s, p, cl, frozenset(below) | frozenset(drawn))
+            assert ({key: tuple(pay) for key, pay in paid.items()}, spend, acquired) == \
+                oracle_settlement(s, counts, below, drawn, certain), (s, counts, drawn)
+        out = execute(s, p, random.Random(seed))
+        drawn = tuple(sorted(out.drawn_from_tie))
+        assert drawn in combos
+        assert ({key: tuple(pay) for key, pay in out.prices_paid.items()}, out.expenditure,
+                out.acquired_real_ballots) == oracle_settlement(s, counts, below, drawn, certain)
+        seen["abstainers"] += any(c[2] or c[5] for c in counts)
+        seen["real on slot two"] += any(c[1] for c in counts)
+        seen["drawn"] += bool(drawn) and not certain
+
+    agrees()
+    assert min(seen[key] for key in ("abstainers", "real on slot two", "drawn")) > 0, seen
 
 
 @given(scenario_and_profile())
@@ -569,6 +631,13 @@ def tiny_repeated_below_floor(draw):
 @settings(max_examples=60, deadline=None)
 def test_orbit_scan_matches_per_citizen_oracle(sf):
     s, filtered = sf
+    tables = mechanism._pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
+    if filtered and equilibrium.filter_premise(tables, s.num_districts):
+        # weak4 with delta above V (q < k) or above V + eps (q = k): a real
+        # voter gains by slot two, so there is no filtered game to compare.
+        with pytest.raises(PremiseFails):
+            enumerate_equilibria(s)
+        return
     got = {e.as_counts() for e in enumerate_equilibria(s, filter_dominated=filtered).equilibria}
     assert got == per_citizen_equilibria(s, filtered)
 
@@ -690,11 +759,11 @@ def test_filter_premise_never_passes_where_a_dropped_action_pays_more():
     @example(make_scenario([(1, 1)] * 3, 100, 1, 150, 1, menu=MenuVariant.STRONG6))
     @settings(max_examples=80, deadline=None)
     def sound(s):
-        tables = equilibrium._pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon,
-                                             s.delta)
+        tables = mechanism._pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon,
+                                           s.delta)
         gains = dropped_action_pays_more(s)
         found.append(gains)
-        assert not gains or equilibrium.filter_premise(tables) is not None, s
+        assert not gains or equilibrium.filter_premise(tables, s.num_districts) is not None, s
 
     sound()
     assert any(found)
