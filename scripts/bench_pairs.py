@@ -8,9 +8,12 @@ For seeds 1..pairs it runs `python3 perfbench/run.py --workload W --seed S
 side goes first (parent first on odd seeds), as perfbench/README.md
 describes. It keeps each run's command, its result line (the last line of
 stdout) and its number of timed passes from the `detail:` line, lists
-each side's pass counts per workload, and, per end-to-end metric of
-BENCHMARK.json, gives each side's median and quartile spread and the verdicts
-of the README's paired rule:
+each side's pass counts per workload, and fits peak_rss_mb to the pass
+counts (`rss_vs_passes`: slope in MB per pass and correlation, per side
+and over both; null where a reading is missing or does not vary), so a
+memory change that only tracks the pass count shows. Per end-to-end
+metric of BENCHMARK.json it gives each side's median and quartile spread
+and the verdicts of the README's paired rule:
 
 - gain: the change wins at least 9 in 10 pairs (ties count for neither) and
   the medians differ by more than the parent's quartile distance;
@@ -82,6 +85,19 @@ def spread(values: list[float]) -> tuple[float, float]:
     return statistics.median(values), q3 - q1
 
 
+def rss_fit(runs: list[dict]) -> dict | None:
+    """The least-squares slope of peak_rss_mb on the runs' pass counts, in
+    MB per pass, and their correlation; None when a run has no
+    peak_rss_mb or either side of the fit does not vary."""
+    try:
+        passes = [r["passes"] for r in runs]
+        rss = [r["result"]["metrics"]["peak_rss_mb"]["value"] for r in runs]
+        return {"slope_mb_per_pass": statistics.linear_regression(passes, rss).slope,
+                "correlation": statistics.correlation(passes, rss)}
+    except (KeyError, statistics.StatisticsError):
+        return None
+
+
 def verdicts(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for m in metrics:
@@ -140,6 +156,8 @@ def main() -> None:
                         f"--seconds {args.seconds} --out {args.out.name}"),
             "all_correct": all(r["correct"] and r["failed"] == 0 for r in results),
             "passes": {side: [r["passes"] for r in side_runs] for side, side_runs in runs.items()},
+            "rss_vs_passes": {**{side: rss_fit(side_runs) for side, side_runs in runs.items()},
+                              "both": rss_fit(runs["parent"] + runs["change"])},
             "runs": runs,
             "metrics": verdicts(runs["parent"], runs["change"], metrics)}
         args.out.write_text(json.dumps(report, indent=1) + "\n")

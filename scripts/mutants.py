@@ -76,12 +76,13 @@ BIT_IDS = """\
     judged = [option for _, options in compiled for option in options]
 """
 PREMISE_S2 = """\
-    if max(worth[_R2] for worth in worths) > kept:
+    if max(worth[_R2] for worth in worths) > min(worth[_R1] for worth in worths):
         return "slot two is not dominated for a real voter"
 """
 T_BLOCKS = (f"{T_PROP}::test_block_scan_equals_orbit_scan_reference",
             f"{T_EQ}::test_block_scan_equals_orbit_scan_reference_on_full_family")
 T_SETTLED = f"{T_PROP}::test_realized_payments_equal_citizen_by_citizen_settlement"
+T_HOT = (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle", *T_BLOCKS)
 SEQUENTIAL_RUN = "    outcomes = run_sequential(s, random.Random(seed))\n"
 SEQUENTIAL_HEADER = '    _print_scenario_header(s, "sequential", seed)\n'
 STATUS_ODDS_CODES = """\
@@ -293,8 +294,24 @@ MUTANTS = [
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",
             f"{T_PROP}::test_orbit_scan_matches_per_citizen_oracle")),
     Mutant("a key equal to the head's cut counted as high", EQUILIBRIUM,
-           "bisect_left(drops, -sorted(head_keys)[rank])", "bisect_left(drops, 1 - sorted(head_keys)[rank])",
+           "bisect_left(drops, -ranked[rank])", "bisect_left(drops, 1 - ranked[rank])",
            T_BLOCKS),
+    Mutant("a hot option tied with the head's q-th key skips the head part", EQUILIBRIUM,
+           "if head_hot > ranked[q - 1]:", "if head_hot >= ranked[q - 1]:", T_HOT),
+    Mutant("a move hot when its best final status beats staying", MECHANISM,
+           "if min(w[6 + CLASS_SLOTS[(voter_type, alt)]]", "if max(w[6 + CLASS_SLOTS[(voter_type, alt)]]",
+           T_HOT),
+    Mutant("a move hot when it only ties staying", MECHANISM,
+           "> self.settled[NOT_SELECTED][6 + idx])", ">= self.settled[NOT_SELECTED][6 + idx])", T_HOT),
+    Mutant("classify builds its Threshold from unsorted keys", MECHANISM,
+           "Threshold(sorted(keys), s.target_count)", "Threshold(keys, s.target_count)",
+           (f"{T_PROP}::test_classify_equals_oracle_partition",)),
+    Mutant("is_nash builds its Threshold from unsorted keys", EQUILIBRIUM,
+           "Threshold(sorted(ctx.keys(counts)), ctx.tables.q)", "Threshold(ctx.keys(counts), ctx.tables.q)",
+           (f"{T_PROP}::test_orbit_scan_equals_full_scan",)),
+    Mutant("a payoff's Threshold built from unsorted keys", EQUILIBRIUM,
+           "Threshold(sorted(keys), ctx.tables.q)", "Threshold(keys, ctx.tables.q)",
+           (f"{T_PROP}::test_deviation_payoff_equals_oracle_of_the_moved_profile",)),
     Mutant("high districts recorded without their check", EQUILIBRIUM,
            "[o for o in last[:h] if not _judge(verdicts, entry, o[3], judged)]", "last[:h]",
            T_BLOCKS),

@@ -69,8 +69,7 @@ _FILTERED_MOVES = tuple((mv, idx, dm) for mv, (idx, voter_type, action, alt, dm)
 
 
 # The worths in a settled row that the premise reads.
-_R1, _R2, _RA, _D2 = (6 + CLASS_SLOTS[c]
-                      for c in ((REAL, S1), (REAL, S2), (REAL, ABSTAIN), (DECOY, S2)))
+_R1, _R2 = (6 + CLASS_SLOTS[c] for c in ((REAL, S1), (REAL, S2)))
 
 
 def filter_premise(tables: _PricingTables, k: int) -> Optional[str]:
@@ -79,19 +78,15 @@ def filter_premise(tables: _PricingTables, k: int) -> Optional[str]:
 
     The filtered game drops abstention and real voters' slot two. That is
     sound when, over the final statuses q and k allow (only selected
-    outright when q = k), a real voter's worst on slot one is at least V,
-    what abstaining gives, and at least his best on slot two, and a decoy
-    gets at least 0 on slot two. It is sufficient, not necessary.
+    outright when q = k), a real voter's worst on slot one is at least his
+    best on slot two; abstaining needs no check, as a settled worth is the
+    price or the valuation, whichever is more (voter_payoff). It is
+    sufficient, not necessary.
     """
     worths = [tables.settled[final]
               for final in (STATUSES if tables.q < k else (SELECTED_OUTRIGHT,))]
-    kept = min(worth[_R1] for worth in worths)
-    if kept < worths[0][_RA]:  # he keeps his ballot, worth V
-        return "abstaining is not dominated for a real voter"
-    if max(worth[_R2] for worth in worths) > kept:
+    if max(worth[_R2] for worth in worths) > min(worth[_R1] for worth in worths):
         return "slot two is not dominated for a real voter"
-    if min(worth[_D2] for worth in worths) < 0:
-        return "abstaining is not dominated for a decoy"
     return None
 
 
@@ -134,7 +129,7 @@ def _payoff_after(s: Scenario, p: CountProfile, who: VoterClass, new_action: str
     keys = ctx.keys(p.as_counts())
     x = keys[who.district]
     y = x + ((new_action == S1) - (who.action == S1)) * ctx.steps[who.district]
-    st, c, t = Threshold(keys, ctx.tables.q).after(x, y)
+    st, c, t = Threshold(sorted(keys), ctx.tables.q).after(x, y)
     d, _, worth = ctx.tables.rows[c, t]
     return Fraction(worth[st][CLASS_SLOTS[(who.voter_type, new_action)]], d)
 
@@ -221,7 +216,7 @@ def is_nash(s: Scenario, p: CountProfile, filter_dominated: bool = True) -> bool
         return False  # off the dominance screen, so not a profile of the filtered game
     moves = _FILTERED_MOVES if filter_dominated else _ALL_MOVES
     judged = [_compiled(ctx, k, row, moves) for k, row in enumerate(counts)]
-    entry = [Threshold(ctx.keys(counts), ctx.tables.q), 0, 0]
+    entry = [Threshold(sorted(ctx.keys(counts)), ctx.tables.q), 0, 0]
     return not _judge(ctx.tables.verdicts, entry, (1 << len(judged)) - 1, judged)
 
 
@@ -261,10 +256,12 @@ class _Parts:
                 yield a, b, n - a - b
 
 
-def _multisets(options: list, size: int) -> list[tuple[tuple, int, tuple]]:
+def _multisets(options: list, size: int, hot: frozenset = frozenset()) -> list[tuple]:
     """Every multiset of size of the options, as (their keys, the OR of
-    their bits, the options), in the order of combinations_with_replacement."""
-    return [(cols[0], reduce(or_, cols[3], 0), combo)
+    their bits, the highest key of an option with a move in hot, else -1,
+    the options), in the order of combinations_with_replacement."""
+    return [(cols[0], reduce(or_, cols[3], 0),
+             max((o[0] for o in combo if not hot.isdisjoint(mv for mv, _ in o[1])), default=-1), combo)
             for combo in combinations_with_replacement(options, size)
             for cols in [tuple(zip(*combo)) or ((),) * 4]]
 
@@ -294,6 +291,8 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     those that do not gain completes an equilibrium. A head of q keys or
     fewer has no cut, and one option above cut merges no representatives;
     then each representative is checked alone, the groups in their order.
+    tau is at most the q-th smallest of H in any profile holding H, so a
+    part with a hot option (_PricingTables.hot) above that is skipped.
 
     Each option is one bit, numbered in group order, and each multiset
     carries the OR of its options' bits. One memo, keyed by bottom, serves
@@ -322,7 +321,7 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     order = [k for ks, _ in compiled for k in ks]
     place = sorted(range(len(order)), key=order.__getitem__)  # district -> group-order position
     *head, (ks, last) = compiled
-    head = [_multisets(options, len(ks)) for ks, options in head]
+    head = [_multisets(options, len(ks), ctx.tables.hot) for ks, options in head]
     n = len(ks)
     last.sort(key=itemgetter(0), reverse=True)  # by key, highest first
     drops = [-o[0] for o in last]  # ascending; bisect_left(drops, -cut) options lie above cut
@@ -335,17 +334,21 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     h, block = 0, blocks[0]
     bottom_of, verdicts, memo, found = Threshold.bottom, ctx.tables.verdicts, {}, []
     for part in product(*head):
-        head_keys, head_mask = (), 0
-        for keys, mask, _ in part:
+        head_keys, head_mask, head_hot = (), 0, -1
+        for keys, mask, hot_key, _ in part:
             head_keys += keys
             head_mask |= mask
+            head_hot = max(head_hot, hot_key)
         if rank is not None:
-            h = bisect_left(drops, -sorted(head_keys)[rank])
+            ranked = sorted(head_keys)
+            if head_hot > ranked[q - 1]:
+                continue
+            h = bisect_left(drops, -ranked[rank])
             block = blocks.get(h)
             if block is None:
                 block = blocks[h] = [(j, *low) for j in range(n + 1)
                                      for low in _multisets(last[h:], n - j)]
-        for j, low_keys, low_mask, low_options in block:
+        for j, low_keys, low_mask, _, low_options in block:
             bottom = bottom_of(head_keys + low_keys, q)
             entry = memo.get(bottom)
             if entry is None:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import inf, lcm
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     DeltaBelowThreshold,
@@ -157,12 +157,12 @@ class Classification(NamedTuple):
 
 
 class Threshold:
-    """The threshold summary of one slot-one key vector: the keys sorted,
-    the threshold tau (the q-th smallest key), the counts c below it and t
-    at it, and, per status code of a moving key x, the (q-1)-th and q-th
-    smallest of the other keys (lo, hi), with -inf and +inf where there is
-    none. It is the one place where districts are sorted into below, tied
-    and above.
+    """The threshold summary of one slot-one key vector, given in ascending
+    order (ranked; callers sort, and a bottom already is): the threshold
+    tau (the q-th smallest key), the counts c below it and t at it, and,
+    per status code of a moving key x, the (q-1)-th and q-th smallest of
+    the other keys (lo, hi), with -inf and +inf where there is none. It is
+    the one place where districts are sorted into below, tied and above.
 
     When x moves to y, the new threshold is clamp(y, lo, hi), and the new
     c and t are read off the sorted keys, corrected for x and y (after).
@@ -183,8 +183,8 @@ class Threshold:
         ranked = sorted(keys)
         return tuple(ranked[:bisect_right(ranked, ranked[q])] if q < len(ranked) else ranked)
 
-    def __init__(self, keys: Iterable[int], q: int):
-        self.ranked = ranked = sorted(keys)
+    def __init__(self, ranked: Sequence[int], q: int):
+        self.ranked = ranked
         self.tau = tau = ranked[q - 1]
         self.c = c = bisect_left(ranked, tau)
         self.t = bisect_right(ranked, tau, c) - c
@@ -229,7 +229,7 @@ def classify(s: Scenario, p: CountProfile) -> Classification:
     p.check_against(s)
     scale, steps = key_steps(s)
     keys = [ac.slot1_applicants * step for ac, step in zip(p.per_district, steps)]
-    summary = Threshold(keys, s.target_count)
+    summary = Threshold(sorted(keys), s.target_count)
     parts: tuple[list[int], ...] = ([], [], [])
     for k, x in enumerate(keys):
         parts[summary.status(x)].append(k)
@@ -461,6 +461,15 @@ class _PricingTables:
         d, _, worth = self.rows[c, t]
         d2, _, worth2 = self.rows[c2, t2]
         return worth2[st2][CLASS_SLOTS[(voter_type, alt)]] * d > worth[st][idx] * d2
+
+    @cached_property
+    def hot(self) -> frozenset[int]:
+        """Ids of the moves that pay wherever the mover lies above tau, so is
+        not selected for sure: his worst worth after the move, over every
+        final status (a row mixes them), beats his worth not selected."""
+        return frozenset(mv for mv, (idx, voter_type, _, alt, _) in enumerate(_MOVES)
+                         if min(w[6 + CLASS_SLOTS[(voter_type, alt)]] for w in self.settled.values())
+                         > self.settled[NOT_SELECTED][6 + idx])
 
 
 @lru_cache(maxsize=32)

@@ -459,10 +459,15 @@ def test_nash_memo_builds_one_threshold_per_bottom(monkeypatch):
     # representatives' keys and evaluates one district verdict per
     # distinct (bottom, option) it reaches, high options included; the
     # memo ends with the scan, so a second scan builds them all again.
-    # Its blocks take 2455 Nash checks to cover the 7350 representatives.
-    # A check is one cut of a profile's keys to their bottom.
+    # At q = 3 its blocks take 248 Nash checks to cover the 7350
+    # representatives. A check is one cut of a profile's keys to their
+    # bottom. Of the 350 head parts, 320 hold a district above every
+    # threshold they allow with a decoy on slot one, which gains by moving
+    # to slot two, so only 30 are cut to find their high options. At q = 4
+    # the skip leaves 130 head parts, where the order in which a check
+    # judges its districts shows in the verdicts.
     builds, gains, checks = Counter(), Counter(), Counter()
-    build, cut = Threshold.__init__, Threshold.bottom
+    build, cut, high = Threshold.__init__, Threshold.bottom, equilibrium.bisect_left
 
     def counted_build(summary, keys, q):
         builds[tuple(keys)] += 1
@@ -476,19 +481,26 @@ def test_nash_memo_builds_one_threshold_per_bottom(monkeypatch):
         checks["nash"] += 1
         return cut(keys, q)
 
+    def counted_high(drops, key):
+        checks["head"] += 1
+        return high(drops, key)
+
     monkeypatch.setattr(Threshold, "__init__", counted_build)
+    monkeypatch.setattr(equilibrium, "bisect_left", counted_high)
     monkeypatch.setattr(equilibrium, "_gains", counted_gains)
     monkeypatch.setattr(Threshold, "bottom", staticmethod(counted_cut))
-    wide = scenario_for([(3, 4)] * 3 + [(2, 5)] * 2 + [(4, 3)] * 2, 3)
-    for _ in range(2):
-        builds.clear()
-        gains.clear()
-        checks.clear()
-        report = enumerate_equilibria(wide)
-        assert report.candidates_checked == 7350 and report.sigma_star_unique
-        assert checks["nash"] == 2455 < 7350
-        assert len(builds) == sum(builds.values()) == 448
-        assert len(gains) == sum(gains.values()) == 839
+    for q, nash, heads, thresholds, verdicts in ((3, 248, 30, 170, 222), (4, 1116, 130, 706, 967)):
+        wide = scenario_for([(3, 4)] * 3 + [(2, 5)] * 2 + [(4, 3)] * 2, q)
+        for _ in range(2):
+            builds.clear()
+            gains.clear()
+            checks.clear()
+            report = enumerate_equilibria(wide)
+            assert report.candidates_checked == 7350 and report.sigma_star_unique
+            assert checks["nash"] == nash < 7350
+            assert checks["head"] == heads < 350
+            assert len(builds) == sum(builds.values()) == thresholds
+            assert len(gains) == sum(gains.values()) == verdicts
 
 
 @pytest.mark.parametrize("claim", ["weak4-unique", "strong6-unique", "strong4-sigma-star"])
@@ -558,6 +570,19 @@ def test_every_full_family_member_passes_the_premise(claim):
     pricings = {(s.num_districts, (s.menu, s.target_count, s.real_value, s.epsilon, s.delta))
                 for s in family_for(claim, "full")}
     assert pricings and all(filter_premise(_pricing_tables(*p), k) is None for k, p in pricings)
+
+
+@pytest.mark.parametrize("claim", ["weak4-unique", "strong6-unique", "strong4-sigma-star"])
+def test_hot_moves_at_the_full_families_pricings(claim):
+    # Above tau a decoy gets eps on slot one and 0 abstaining; after a move
+    # he gets at least 2 eps on slot two and eps on slot one, whatever the
+    # draw. Not selected, a real voter keeps V on every action at these
+    # prices, so none of his moves pays in every final status.
+    hot = {(DECOY, S1, S2), (DECOY, ABSTAIN, S1), (DECOY, ABSTAIN, S2)}
+    pricings = {(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
+                for s in family_for(claim, "full")}
+    for pricing in pricings:
+        assert {_MOVES[mv][1:4] for mv in _pricing_tables(*pricing).hot} == hot, pricing
 
 
 def test_filtered_moves_are_the_moves_between_kept_actions():

@@ -517,7 +517,7 @@ def check_summary_moves(districts, q) -> set:
     seen = set()
     for m in product(*(range(r + d + 1) for r, d in districts)):
         keys = [mk * step for mk, step in zip(m, steps)]
-        summary = Threshold(keys, q)
+        summary = Threshold(sorted(keys), q)
         tau, statuses = oracle_partition(keys, q)
         assert (summary.tau, summary.c, summary.t) == \
             (tau, statuses.count(BELOW), statuses.count(TIED))
@@ -577,7 +577,7 @@ def test_threshold_of_the_bottom_equals_threshold_of_all_keys(keys, data):
     q = data.draw(st.integers(1, len(keys)))
     bottom = Threshold.bottom(keys, q)
     assert bottom == tuple(sorted(keys))[:len(bottom)]
-    full, cut = Threshold(keys, q), Threshold(bottom, q)
+    full, cut = Threshold(sorted(keys), q), Threshold(bottom, q)
     assert (cut.tau, cut.c, cut.t, cut.bounds) == (full.tau, full.c, full.t, full.bounds)
     for x in set(keys):
         assert cut.status(x) == full.status(x)
@@ -693,12 +693,12 @@ def test_block_scan_equals_orbit_scan_reference(monkeypatch):
 
 
 @st.composite
-def premise_scenarios(draw):
-    """2 or 3 districts of 1 or 2 real and 0 to 2 decoy ballots, any q, one
-    of the three menus, and rational V, eps and delta, delta up to 2V."""
-    k = draw(st.integers(2, 3))
-    districts = draw(st.lists(st.sampled_from([(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]),
-                              min_size=k, max_size=k))
+def premise_scenarios(draw, ks=(2, 3), kinds=((1, 1), (1, 2), (2, 0), (2, 1), (2, 2))):
+    """2 or 3 districts (ks) of 1 or 2 real and 0 to 2 decoy ballots (kinds),
+    any q, one of the three menus, and rational V, eps and delta, delta up
+    to 2V."""
+    k = draw(st.integers(*ks))
+    districts = draw(st.lists(st.sampled_from(kinds), min_size=k, max_size=k))
     v = draw(st.fractions(min_value=1, max_value=200, max_denominator=4))
     eps = draw(st.fractions(min_value=Fraction(1, 4), max_value=v, max_denominator=4))
     delta = draw(st.fractions(min_value=Fraction(1, 4), max_value=2 * v, max_denominator=4))
@@ -778,6 +778,93 @@ def test_no_dropped_action_pays_more_at_the_full_families_pricings(claim):
     for menu, k, q, v, eps, delta in pricings:
         s = make_scenario([(1, 1)] * k, v, eps, delta, q, menu=menu)
         assert not dropped_action_pays_more(s)
+
+
+def test_abstention_is_dominated_at_every_pricing():
+    # filter_premise checks only real voters' slot two: in every final
+    # status a settled worth is the price or the valuation, whichever is
+    # more, so slot one leaves a real voter at least V, what abstaining
+    # gives, and slot two leaves a decoy at least 0, what abstaining gives.
+    real_s1, real_abstain, decoy_s2, decoy_abstain = (
+        6 + CLASS_SLOTS[c] for c in ((REAL, S1), (REAL, ABSTAIN), (DECOY, S2), (DECOY, ABSTAIN)))
+
+    def dominated(tables):
+        return all(worth[real_s1] >= worth[real_abstain] and worth[decoy_s2] >= worth[decoy_abstain] == 0
+                   for worth in tables.settled.values())
+
+    for claim in ("weak4-unique", "strong6-unique", "strong4-sigma-star"):
+        assert all(dominated(mechanism._tables_for(s)) for s in family_for(claim, "full"))
+
+    @given(premise_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def free(s):
+        assert dominated(mechanism._tables_for(s)), s
+
+    free()
+
+
+@st.composite
+def premise_profiles(draw):
+    """A premise_scenarios draw and an unfiltered profile of it."""
+    s = draw(premise_scenarios())
+    counts = []
+    for d in s.districts:
+        row = ()
+        for n in (d.real_count, d.decoy_count):
+            a = draw(st.integers(0, n))
+            b = draw(st.integers(0, n - a))
+            row += (a, b, n - a - b)
+        counts.append(row)
+    return s, tuple(counts)
+
+
+def test_hot_moves_gain_above_tau_by_the_oracle():
+    # The scan skips a head part that holds an occupied hot move
+    # (_PricingTables.hot) above every threshold it allows. So wherever a
+    # district lies strictly above tau with a class that has a hot move,
+    # the move must pay strictly more by the oracle's draw enumeration,
+    # whatever the others play. Across the sample such moves occur.
+    met = set()
+
+    @given(premise_profiles())
+    @settings(max_examples=150, deadline=None)
+    def gains(sp):
+        s, counts = sp
+        ratios = [Fraction(row[0] + row[3], d.real_count) for row, d in zip(counts, s.districts)]
+        _, statuses = oracle_partition(ratios, s.target_count)
+        for k, (row, status) in enumerate(zip(counts, statuses)):
+            for mv in mechanism._tables_for(s).hot if status == ABOVE else ():
+                idx, voter_type, action, alt, _ = mechanism._MOVES[mv]
+                if not row[idx]:
+                    continue
+                moved = list(row)
+                moved[idx] -= 1
+                moved[CLASS_SLOTS[voter_type, alt]] += 1
+                after = counts[:k] + (tuple(moved),) + counts[k + 1:]
+                assert oracle_expected_payoff(s, after, k, voter_type, alt) > \
+                    oracle_expected_payoff(s, counts, k, voter_type, action), (s, counts, k, mv)
+                met.add((voter_type, action, alt))
+
+    gains()
+    assert met
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_scan_equals_full_scan_at_free_pricings(filtered, data):
+    # At premise_scenarios' pricings more moves can be hot than at the
+    # family floors, and the premise can fail. Filtered, 3 or 4 districts
+    # of up to 9 rows each; unfiltered, 3 districts of up to 18.
+    if filtered:
+        s = data.draw(premise_scenarios((3, 4), ((1, 1), (1, 2), (2, 1), (2, 2))))
+        if equilibrium.filter_premise(mechanism._tables_for(s), s.num_districts):
+            with pytest.raises(PremiseFails):
+                enumerate_equilibria(s)
+            return
+    else:
+        s = data.draw(premise_scenarios((3, 3), ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1))))
+    report = enumerate_equilibria(s, filter_dominated=filtered)
+    assert tuple(e.as_counts() for e in report.equilibria) == full_scan(s, filtered)
 
 
 # Counts rows of (2, 2) districts whose slot-one ratio is 0, 1 or 2.
