@@ -67,13 +67,20 @@ COMMITMENT_CHECK = """\
 COMMITMENT_SEED = "    seed = _resolve_seed(args, s)\n"
 COMMITMENT_HEADER = '    _print_scenario_header(s, "commitment", seed)\n'
 COMMITMENT_VERIFY = "        report = verify_commitment_equilibrium(game, s.total_decoy)\n"
-VERDICT = "worth2[st2][CLASS_SLOTS[(voter_type, alt)]] * d > worth[st][idx] * d2"
+VERDICT = "after * weight > before * weight2"
 BLOCK_CHECK = "            bottom = bottom_of(head_keys + low_keys, q)\n"
-BIT_IDS = """\
-    bits = count()
-    compiled = [(ks, [(*option, 1 << next(bits)) for option in options])
+HOT_KEY = "option[0] if any(mv in hot for mv, _ in option[1]) else -1"
+BIT_IDS = f"""\
+    bits, hot = count(), ctx.tables.hot
+    compiled = [(ks, [(*option, 1 << next(bits),
+                       {HOT_KEY})
+                      for option in options])
                 for ks, options in compiled]
     judged = [option for _, options in compiled for option in options]
+"""
+TIE_WORTH = """\
+        return (drawn * self.settled[SELECTED_BY_DRAW][i]
+                + (t - drawn) * self.settled[NOT_SELECTED][i], t)
 """
 PREMISE_S2 = """\
     if max(worth[_R2] for worth in worths) > min(worth[_R1] for worth in worths):
@@ -82,6 +89,7 @@ PREMISE_S2 = """\
 T_BLOCKS = (f"{T_PROP}::test_block_scan_equals_orbit_scan_reference",
             f"{T_EQ}::test_block_scan_equals_orbit_scan_reference_on_full_family")
 T_SETTLED = f"{T_PROP}::test_realized_payments_equal_citizen_by_citizen_settlement"
+T_VERDICTS = (f"{T_PROP}::test_verdicts_equal_the_fraction_comparison_of_expected_payoffs",)
 T_HOT = (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle", *T_BLOCKS)
 SEQUENTIAL_RUN = "    outcomes = run_sequential(s, random.Random(seed))\n"
 SEQUENTIAL_HEADER = '    _print_scenario_header(s, "sequential", seed)\n'
@@ -182,8 +190,7 @@ MUTANTS = [
            (f"{T_PROP}::test_classify_equals_oracle_partition",)),
     Mutant("tied and above swapped where status_odds reads the code", MECHANISM,
            STATUS_ODDS_CODES.format(tied=1, above=2), STATUS_ODDS_CODES.format(tied=2, above=1),
-           (f"{T_PROP}::test_classify_equals_oracle_partition",
-            f"{T_PROP}::test_expected_payoff_matches_draw_enumeration")),
+           (f"{T_MECH}::test_selection_odds_per_interim_status", T_SETTLED)),
     Mutant("lone-defector spend prices the unmoved districts at the mover's status", EQUILIBRIUM,
            "rest = paid[0 if c > (st == 0) else (1 if t > (st == 1) else 2)]", "rest = paid[st]",
            (f"{T_EQ}::test_lone_deviation_spends_match_oracle_on_small_family",
@@ -247,14 +254,13 @@ MUTANTS = [
     Mutant("subgame check ignores a failing round", VARIANTS,
            "            if not report.sigma_star_unique:\n                return False\n", "",
            T_ROUNDS),
-    Mutant("tied row weights swapped", MECHANISM,
-           "for final, odds in status_odds(st, c, t, self.q)]",
-           "for (final, _), (_, odds) in zip(status_odds(st, c, t, self.q),"
-           " reversed(status_odds(st, c, t, self.q)))]",
-           (f"{T_PROP}::test_pricing_rows_equal_their_fraction_reference",)),
-    Mutant("verdict compares numerators over different denominators", MECHANISM,
-           VERDICT, "worth2[st2][CLASS_SLOTS[(voter_type, alt)]] > worth[st][idx]",
-           (f"{T_EQ}::test_pricing_tables_fill_each_entry_once",)),
+    Mutant("tie weights swapped in an expected worth", MECHANISM, TIE_WORTH,
+           TIE_WORTH.replace("(drawn * self", "((t - drawn) * self")
+           .replace("+ (t - drawn) * self", "+ drawn * self"), T_VERDICTS),
+    Mutant("a degenerate tie's worth read as a draw", MECHANISM,
+           "if st == 0 or drawn == t:", "if st == 0:", T_VERDICTS),
+    Mutant("verdict drops the weights from the cross-multiplication", MECHANISM,
+           VERDICT, "after > before", T_VERDICTS),
     Mutant("subparser metavar dropped", CLI,
            "required=True, metavar=metavar)", "required=True)",
            (T_PARITY, "tests/test_startup.py::test_main_refusals_print_the_full_usage_line")),
@@ -289,7 +295,9 @@ MUTANTS = [
            "bisect_right(ranked, ranked[q])", "bisect_left(ranked, ranked[q])",
            (f"{T_PROP}::test_threshold_of_the_bottom_equals_threshold_of_all_keys",)),
     Mutant("district verdict memoized by its key, not its option", EQUILIBRIUM, BIT_IDS,
-           "    compiled = [(ks, [(*option, 1 << option[0]) for option in options]) for ks, options in compiled]\n"
+           "    hot = ctx.tables.hot\n"
+           f"    compiled = [(ks, [(*option, 1 << option[0], {HOT_KEY}) for option in options])"
+           " for ks, options in compiled]\n"
            "    judged = {option[0]: option for _, options in compiled for option in options}\n",
            (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle",
             f"{T_PROP}::test_orbit_scan_matches_per_citizen_oracle")),
@@ -324,9 +332,10 @@ MUTANTS = [
     Mutant("fail mask not read before judging", EQUILIBRIUM,
            "if mask & entry[2] or mask & ~entry[1] and", "if mask & ~entry[1] and", T_BLOCKS),
     Mutant("option ids assigned before the group reorder", EQUILIBRIUM, BIT_IDS,
-           "    bits = count()\n"
+           "    bits, hot = count(), ctx.tables.hot\n"
            "    bit = {id(o): 1 << next(bits) for _, options in sorted(compiled) for o in options}\n"
-           "    compiled = [(ks, [(*option, bit[id(option)]) for option in options]) for ks, options in compiled]\n"
+           f"    compiled = [(ks, [(*option, bit[id(option)], {HOT_KEY}) for option in options])"
+           " for ks, options in compiled]\n"
            "    judged = sorted((option for _, options in compiled for option in options), key=itemgetter(3))\n",
            (f"{T_EQ}::test_nash_memo_builds_one_threshold_per_bottom",)),
     Mutant("premise check drops a condition", EQUILIBRIUM, PREMISE_S2, "",

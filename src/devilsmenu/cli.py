@@ -25,7 +25,6 @@ from .equilibrium import (
     real_deviation_expenditures,
 )
 from .mechanism import (
-    NOT_SELECTED,
     ActionCount,
     Classification,
     CountProfile,
@@ -35,7 +34,7 @@ from .mechanism import (
     expected_spend,
     fair_draw_counts,
     minimal_delta,
-    status_odds,
+    selection_odds,
 )
 from .model import (
     MAX_SEED,
@@ -293,13 +292,11 @@ def _mc_counts(cl: Classification, q: int, seed: int, runs: int, workers: int) -
 
 def _mc_rows(cl: Classification, q: int, counts: list[int], runs: int):
     """Per district: (k, selections, odds of selection, within 3 sigma). The
-    odds are status_odds' chance of a selected status, so a below or
-    degenerately tied district expects every run, an above one none, and a
-    tied one (q - c) / t; sigma is the binomial sigma at those odds."""
+    odds are selection_odds', so a below or degenerately tied district
+    expects every run, an above one none, and a tied one (q - c) / t; sigma
+    is the binomial sigma at those odds."""
     rows = []
-    for k, n in enumerate(counts):
-        p = sum((odds for status, odds in status_odds(cl.interim(k), cl.c, cl.t, q)
-                 if status != NOT_SELECTED), Fraction(0))
+    for k, (n, p) in enumerate(zip(counts, selection_odds(cl, q))):
         sigma = math.sqrt(runs * float(p) * (1 - float(p)))
         ok = abs(n - runs * float(p)) <= 3 * sigma
         rows.append((k, n, p, "yes" if ok else "NO"))

@@ -256,14 +256,13 @@ class _Parts:
                 yield a, b, n - a - b
 
 
-def _multisets(options: list, size: int, hot: frozenset = frozenset()) -> list[tuple]:
+def _multisets(options: list, size: int) -> list[tuple]:
     """Every multiset of size of the options, as (their keys, the OR of
-    their bits, the highest key of an option with a move in hot, else -1,
-    the options), in the order of combinations_with_replacement."""
-    return [(cols[0], reduce(or_, cols[3], 0),
-             max((o[0] for o in combo if not hot.isdisjoint(mv for mv, _ in o[1])), default=-1), combo)
+    their bits, the highest of their hot keys, -1 when none is hot, the
+    options), in the order of combinations_with_replacement."""
+    return [(cols[0], reduce(or_, cols[3], 0), max(cols[4], default=-1), combo)
             for combo in combinations_with_replacement(options, size)
-            for cols in [tuple(zip(*combo)) or ((),) * 4]]
+            for cols in [tuple(zip(*combo)) or ((),) * 5]]
 
 
 def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
@@ -295,10 +294,10 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     part with a hot option (_PricingTables.hot) above that is skipped.
 
     Each option is one bit, numbered in group order, and each multiset
-    carries the OR of its options' bits. One memo, keyed by bottom, serves
-    the whole scan and ends with it: a check is one AND of its profile's
-    mask with the bottom's fail mask, and only bits not yet known are
-    judged (_judge).
+    carries the OR of its options' bits and the highest of their hot
+    keys. One memo, keyed by bottom, serves the whole scan and ends with
+    it: a check is one AND of its profile's mask with the bottom's fail
+    mask, and only bits not yet known are judged (_judge).
     """
     moves = _FILTERED_MOVES if filtered else _ALL_MOVES
     # Each group's options go in descending row order, the order of its
@@ -313,15 +312,18 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     if len(ctx.steps) - len(compiled[g][0]) > q:
         compiled.append(compiled.pop(g))
     # Bits are numbered after the reorder, so _judge, which takes them in
-    # ascending order, judges a profile's districts in group order.
-    bits = count()
-    compiled = [(ks, [(*option, 1 << next(bits)) for option in options])
+    # ascending order, judges a profile's districts in group order. An
+    # option's hot key is its key if one of its moves is hot, else -1.
+    bits, hot = count(), ctx.tables.hot
+    compiled = [(ks, [(*option, 1 << next(bits),
+                       option[0] if any(mv in hot for mv, _ in option[1]) else -1)
+                      for option in options])
                 for ks, options in compiled]
     judged = [option for _, options in compiled for option in options]
     order = [k for ks, _ in compiled for k in ks]
     place = sorted(range(len(order)), key=order.__getitem__)  # district -> group-order position
     *head, (ks, last) = compiled
-    head = [_multisets(options, len(ks), ctx.tables.hot) for ks, options in head]
+    head = [_multisets(options, len(ks)) for ks, options in head]
     n = len(ks)
     last.sort(key=itemgetter(0), reverse=True)  # by key, highest first
     drops = [-o[0] for o in last]  # ascending; bisect_left(drops, -cut) options lie above cut

@@ -300,6 +300,14 @@ def status_odds(interim: int, c: int, t: int, q: int) -> tuple[tuple[str, Fracti
     return ((SELECTED_BY_DRAW, p_draw), (NOT_SELECTED, 1 - p_draw))
 
 
+def selection_odds(cl: Classification, q: int) -> tuple[Fraction, ...]:
+    """Each district's odds of being selected over the fair draw, by
+    status_odds: 1 below or in a degenerate tie, (q - c) / t tied, 0 above."""
+    return tuple(sum((odds for final, odds in status_odds(cl.interim(k), cl.c, cl.t, q)
+                      if final != NOT_SELECTED), _ZERO)
+                 for k in range(len(cl.ratios)))
+
+
 def price_for(
     menu: MenuVariant,
     slot: str,
@@ -411,13 +419,19 @@ class _PricingTables:
     what he ends up with: integer numerators over scale, the lcm of V's and
     every price's denominator; offers[final status] holds settle's
     ClassPayment to one voter of each class (None for abstainers), from
-    price_table's menu. rows[c, t] is (D, paid, worth) with
+    price_table's menu.
+
+    A voter's expected entry over the fair draw (_worth) is one settled
+    entry, or, in a real tie, two weighted by the integer draw counts q - c
+    drawn and t - q + c not, over t. rows[c, t] is (D, paid, worth) with
     D = scale * t: paid[code] holds, for a district of that interim status
     code, the expected payment to one voter of each class, and worth[code]
-    his expected payoff, each an integer numerator over D. A verdict,
-    verdicts[(status code, c, t) before, (status code, c, t) after, move
-    id], is whether the move strictly pays: two worths compared by
-    cross-multiplying each by the other's denominator.
+    his expected payoff, each an integer numerator over D; runs, expected
+    spends and payoffs read them. A verdict, verdicts[(status code, c, t)
+    before, (status code, c, t) after, move id], is whether the move
+    strictly pays: the two expected worths compared by cross-multiplying
+    each numerator by the other's weight. The Nash checks read verdicts
+    only, and neither table builds a Fraction.
     """
 
     def __init__(self, menu: MenuVariant, q: int, v: Fraction, epsilon: Fraction,
@@ -442,25 +456,37 @@ class _PricingTables:
         self.rows = _Memo(self._row)
         self.verdicts = _Memo(self._verdict)
 
+    def _worth(self, st: int, c: int, t: int, i: int) -> tuple[int, int]:
+        """Entry i of a settled row, expected over the fair draw for a
+        district of interim status code st among c below and t tied:
+        (numerator over scale, weight), the value being numerator /
+        (scale * weight). The statuses are status_odds', weighted by their
+        odds times t, which are integers."""
+        if st == 2:
+            return self.settled[NOT_SELECTED][i], 1
+        drawn = self.q - c
+        if st == 0 or drawn == t:
+            return self.settled[SELECTED_OUTRIGHT][i], 1
+        return (drawn * self.settled[SELECTED_BY_DRAW][i]
+                + (t - drawn) * self.settled[NOT_SELECTED][i], t)
+
     def _row(self, ct: tuple[int, int]) -> tuple[int, tuple, tuple]:
         c, t = ct
         paid, worth = [], []  # by status code, then by class
         for st in (0, 1, 2):
-            # Each final status weighs by its odds times t, an integer: t
-            # when the status is certain, else q - c drawn and t - q + c not.
-            terms = [[odds.numerator * (t // odds.denominator) * x for x in self.settled[final]]
-                     for final, odds in status_odds(st, c, t, self.q)]
-            total = tuple(map(sum, zip(*terms)))
-            paid.append(total[:6])
-            worth.append(total[6:])
+            # Over scale * t, an entry of weight 1 counts t times.
+            total = [num * (t // weight) for num, weight in
+                     (self._worth(st, c, t, i) for i in range(12))]
+            paid.append(tuple(total[:6]))
+            worth.append(tuple(total[6:]))
         return self.scale * t, tuple(paid), tuple(worth)
 
     def _verdict(self, key: tuple[int, ...]) -> bool:
         st, c, t, st2, c2, t2, mv = key
         idx, voter_type, _, alt, _ = _MOVES[mv]
-        d, _, worth = self.rows[c, t]
-        d2, _, worth2 = self.rows[c2, t2]
-        return worth2[st2][CLASS_SLOTS[(voter_type, alt)]] * d > worth[st][idx] * d2
+        before, weight = self._worth(st, c, t, 6 + idx)
+        after, weight2 = self._worth(st2, c2, t2, 6 + CLASS_SLOTS[(voter_type, alt)])
+        return after * weight > before * weight2
 
     @cached_property
     def hot(self) -> frozenset[int]:

@@ -405,10 +405,11 @@ def test_pricing_tables_are_keyed_by_every_pricing_field():
 
 
 def test_pricing_tables_fill_each_entry_once(monkeypatch):
-    # Rows and verdicts are filled on first lookup and recorded: a second
-    # scan of the same scenario fills nothing, every recorded verdict is a
-    # fresh exact comparison of the two payoffs it names, and every filled
-    # row pays each class its expected payment over the draw.
+    # Rows and verdicts are filled on first lookup and recorded. A scan
+    # fills verdicts only, and a second scan of the same scenario fills
+    # nothing; expected spends fill rows only, each once. Every recorded
+    # verdict is a fresh exact comparison of the two payoffs it names, and
+    # every filled row pays each class its expected payment over the draw.
     fills = Counter()
     for name in ("_row", "_verdict"):
         def counted(tables, key, name=name, fill=getattr(_PricingTables, name)):
@@ -434,20 +435,30 @@ def test_pricing_tables_fill_each_entry_once(monkeypatch):
                         st, c, t, voter_type, action)
 
     _pricing_tables.cache_clear()
+    profiles = []
     for filtered in (True, False):
         first = enumerate_equilibria(s, filter_dominated=filtered)
         filled = fills.copy()
         assert enumerate_equilibria(s, filter_dominated=filtered) == first
         assert fills == filled
+        profiles += first.equilibria
+    assert {name for name, _ in fills} == {"_verdict"}
+    profiles += [all_decoys_gambling(s), CountProfile.sigma_star(s)]
+    scanned = fills.copy()
+    spends = [expected_expenditure(s, p) for p in profiles]
+    filled = fills.copy()
+    assert [expected_expenditure(s, p) for p in profiles] == spends
+    assert fills == filled
+    assert {name for name, _ in fills - scanned} == {"_row"}
     assert set(fills.values()) == {1}
-    assert {name for name, _ in fills} == {"_row", "_verdict"}
     tables = _pricing_tables(s.menu, s.target_count, s.real_value, s.epsilon, s.delta)
     verdicts = tables.verdicts
     assert len(verdicts) == sum(name == "_verdict" for name, _ in fills)
-    assert len(tables.rows) == sum(name == "_row" for name, _ in fills)
-    for (c, t), (d, paid_rows, _) in tables.rows.items():
-        for st, row in enumerate(paid_rows):
+    assert len(tables.rows) == sum(name == "_row" for name, _ in fills) > 1
+    for (c, t), (d, paid_rows, worth_rows) in tables.rows.items():
+        for st, (row, worth) in enumerate(zip(paid_rows, worth_rows)):
             assert [Fraction(x, d) for x in row] == [paid(st, c, t, *cls) for cls in CLASS_SLOTS]
+            assert [Fraction(x, d) for x in worth] == [payoff(st, c, t, *cls) for cls in CLASS_SLOTS]
     for (st, c, t, st2, c2, t2, mv), gains in verdicts.items():
         _, voter_type, action, alt, _ = _MOVES[mv]
         assert gains == (payoff(st2, c2, t2, voter_type, alt) > payoff(st, c, t, voter_type, action))

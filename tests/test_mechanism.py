@@ -38,6 +38,7 @@ from devilsmenu.mechanism import (
     CountProfile,
     fair_draw,
     fair_draw_counts,
+    selection_odds,
     tie_price_floor,
 )
 
@@ -153,6 +154,17 @@ def test_select_districts_degenerate_draw():
     selected, drawn = select_districts(cl, 2, random.Random(0))
     assert selected == frozenset({0, 1})
     assert drawn == frozenset({0, 1})
+
+
+def test_selection_odds_per_interim_status():
+    # Below and degenerately tied districts are selected for sure, above
+    # ones never, and a tied one with the draw's odds (q - c) / t.
+    s = sym(4, 2, 2, 2, delta=DELTA)
+    p = CountProfile.from_counts(((0, 2, 0, 0, 2, 0), (1, 1, 0, 0, 2, 0),
+                                  (1, 1, 0, 0, 2, 0), (2, 0, 0, 0, 2, 0)))
+    cl = classify(s, p)  # ratios (0, 1/2, 1/2, 1): c = 1, t = 2, one drawn
+    assert selection_odds(cl, 2) == (1, Fraction(1, 2), Fraction(1, 2), 0)
+    assert selection_odds(cl, 3) == (1, 1, 1, 0)
 
 
 def test_select_districts_whole_tie_set():

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -393,6 +394,55 @@ def test_pricing_rows_equal_their_fraction_reference(pricing):
                                 sum(prob * voter_payoff(voter_type, price, v)
                                     for prob, price in offers))
                     assert (Fraction(paid[code][i], d), Fraction(worth[code][i], d)) == want
+
+
+@st.composite
+def free_pricings(draw):
+    """Pricings as premise_scenarios draws them: one of the three menus, k
+    up to 5 districts, any q, and rational V, eps and delta, delta up to
+    2V."""
+    k = draw(st.integers(1, 5))
+    v = draw(st.fractions(min_value=1, max_value=200, max_denominator=4))
+    eps = draw(st.fractions(min_value=Fraction(1, 4), max_value=v, max_denominator=4))
+    delta = draw(st.fractions(min_value=Fraction(1, 4), max_value=2 * v, max_denominator=4))
+    return draw(st.sampled_from(MENUS)), k, draw(st.integers(1, k)), v, eps, delta
+
+
+@given(free_pricings())
+@example((MenuVariant.STRONG6, 3, 2, Fraction(100), Fraction(1), Fraction(3)))
+@example((MenuVariant.WEAK4, 4, 2, Fraction(201, 2), Fraction(3, 4), Fraction(105, 2)))
+@settings(max_examples=60, deadline=None)
+def test_verdicts_equal_the_fraction_comparison_of_expected_payoffs(pricing):
+    # Every verdict a district of k can reach, c < q <= c + t before and
+    # after the move, is the exact comparison of the two expected payoffs
+    # over the draw, each summed in Fractions from status_odds, the menu's
+    # prices and voter_payoff. The tables fill verdicts and rows with no
+    # Fraction and no status_odds.
+    menu, k, q, v, eps, delta = pricing
+    prices = price_table(menu, v, eps, delta)
+
+    def payoff(st_, c, t, voter_type, action):
+        if action == ABSTAIN:
+            return valuation(voter_type, v)
+        return sum(prob * voter_payoff(voter_type, prices[(action, final)], v)
+                   for final, prob in status_odds(st_, c, t, q))
+
+    # A district is below only when c > 0 and above only when c + t < k.
+    standings = [(st_, c, t) for c in range(q) for t in range(q - c, k - c + 1)
+                 for st_ in (0, 1, 2) if (st_ != 0 or c) and (st_ != 2 or c + t < k)]
+    want = {(*standing, voter_type, action): payoff(*standing, voter_type, action)
+            for standing in standings for voter_type, action in CLASS_SLOTS}
+    keys = [(*before, *after, mv) for before in standings for after in standings
+            for mv in range(len(mechanism._MOVES))]
+    tables = _PricingTables(menu, q, v, eps, delta)
+    with patch.object(mechanism, "Fraction", None), patch.object(mechanism, "status_odds", None):
+        got = [tables.verdicts[key] for key in keys]
+        for c, t in {(c, t) for _, c, t in standings}:
+            tables.rows[c, t]
+    for key, gains in zip(keys, got):
+        _, voter_type, action, alt, _ = mechanism._MOVES[key[-1]]
+        assert gains == (want[(*key[3:6], voter_type, alt)] > want[(*key[:3], voter_type, action)]), \
+            (pricing, key)
 
 
 @st.composite
