@@ -91,6 +91,7 @@ T_BLOCKS = (f"{T_PROP}::test_block_scan_equals_orbit_scan_reference",
 T_SETTLED = f"{T_PROP}::test_realized_payments_equal_citizen_by_citizen_settlement"
 T_VERDICTS = (f"{T_PROP}::test_verdicts_equal_the_fraction_comparison_of_expected_payoffs",)
 T_HOT = (f"{T_EQ}::test_expanded_equilibria_match_per_citizen_oracle", *T_BLOCKS)
+T_MEMO = f"{T_EQ}::test_nash_memo_builds_one_threshold_per_bottom"
 SEQUENTIAL_RUN = "    outcomes = run_sequential(s, random.Random(seed))\n"
 SEQUENTIAL_HEADER = '    _print_scenario_header(s, "sequential", seed)\n'
 STATUS_ODDS_CODES = """\
@@ -321,7 +322,7 @@ MUTANTS = [
            "Threshold(sorted(keys), ctx.tables.q)", "Threshold(keys, ctx.tables.q)",
            (f"{T_PROP}::test_deviation_payoff_equals_oracle_of_the_moved_profile",)),
     Mutant("high districts recorded without their check", EQUILIBRIUM,
-           "[o for o in last[:h] if not _judge(verdicts, entry, o[3], judged)]", "last[:h]",
+           "[o for o in kept[:h] if not _judge(verdicts, entry, o[3], judged)]", "kept[:h]",
            T_BLOCKS),
     Mutant("block bottom taken from the head's keys alone", EQUILIBRIUM, BLOCK_CHECK,
            "            bottom = bottom_of(head_keys if h else head_keys + low_keys, q)\n", T_BLOCKS),
@@ -338,6 +339,13 @@ MUTANTS = [
            " for ks, options in compiled]\n"
            "    judged = sorted((option for _, options in compiled for option in options), key=itemgetter(3))\n",
            (f"{T_EQ}::test_nash_memo_builds_one_threshold_per_bottom",)),
+    Mutant("a last-group option hot at the head's q-th key dropped", EQUILIBRIUM,
+           "kept = [o for o in options if o[4] <= bound]", "kept = [o for o in options if o[4] < bound]",
+           (f"{T_PROP}::test_last_group_bound_keeps_the_equilibria",)),
+    Mutant("the last-group bound read at the head's cut", EQUILIBRIUM,
+           "kept, drops = lows[ranked[q - 1]]", "kept, drops = lows[ranked[rank]]", (T_MEMO,)),
+    Mutant("the last-group bound skipped", EQUILIBRIUM,
+           "kept = [o for o in options if o[4] <= bound]", "kept = list(options)", (T_MEMO,)),
     Mutant("premise check drops a condition", EQUILIBRIUM, PREMISE_S2, "",
            (f"{T_EQ}::test_premise_refuses_a_strong6_tie_price_above_v",
             f"{T_PROP}::test_filter_premise_never_passes_where_a_dropped_action_pays_more")),

@@ -29,6 +29,7 @@ from .mechanism import (
     STATUSES,
     CountProfile,
     Threshold,
+    _Memo,
     _PricingTables,
     _tables_for,
     budget_bound,
@@ -130,8 +131,8 @@ def _payoff_after(s: Scenario, p: CountProfile, who: VoterClass, new_action: str
     x = keys[who.district]
     y = x + ((new_action == S1) - (who.action == S1)) * ctx.steps[who.district]
     st, c, t = Threshold(sorted(keys), ctx.tables.q).after(x, y)
-    d, _, worth = ctx.tables.rows[c, t]
-    return Fraction(worth[st][CLASS_SLOTS[(who.voter_type, new_action)]], d)
+    worth, weight = ctx.tables._worth(st, c, t, 6 + CLASS_SLOTS[(who.voter_type, new_action)])
+    return Fraction(worth, ctx.tables.scale * weight)
 
 
 def expected_payoff(s: Scenario, p: CountProfile, who: VoterClass) -> Fraction:
@@ -265,6 +266,12 @@ def _multisets(options: list, size: int) -> list[tuple]:
             for cols in [tuple(zip(*combo)) or ((),) * 5]]
 
 
+def _kept(options: list, bound: int) -> tuple[list, list]:
+    """The options, less those hot above bound, and their negated keys."""
+    kept = [o for o in options if o[4] <= bound]
+    return kept, [-o[0] for o in kept]
+
+
 def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     """The equilibria among the product of every district's splits, sorted,
     and the number of representatives the scan covers. groups holds, per
@@ -291,7 +298,11 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     fewer has no cut, and one option above cut merges no representatives;
     then each representative is checked alone, the groups in their order.
     tau is at most the q-th smallest of H in any profile holding H, so a
-    part with a hot option (_PricingTables.hot) above that is skipped.
+    part with a hot option (_PricingTables.hot) above that is skipped, and
+    the last group's options hot above it are dropped before the part's
+    blocks are built: each lies above tau, so no representative holding
+    it is an equilibrium, and none of them is judged. An option keyed at
+    it is kept, as a district tied at tau is not above it.
 
     Each option is one bit, numbered in group order, and each multiset
     carries the OR of its options' bits and the highest of their hot
@@ -326,14 +337,18 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
     head = [_multisets(options, len(ks)) for ks, options in head]
     n = len(ks)
     last.sort(key=itemgetter(0), reverse=True)  # by key, highest first
-    drops = [-o[0] for o in last]  # ascending; bisect_left(drops, -cut) options lie above cut
     rank = q if len(order) - n > q else None  # the cut's rank among the head's keys
-    # blocks[h]: (j, keys, mask, options) of each multiset of n - j options
-    # below the h highest, for j = 0..n; only j = 0 when h is 0 or 1, as
-    # one option above cut merges no representatives.
-    blocks = {0: [(0, *low) for low in _multisets(last, n)]}
-    blocks[1] = blocks[0]
-    h, block = 0, blocks[0]
+    # lows[bound]: the last group's options less those hot above bound,
+    # and their negated keys, ascending: bisect_left(drops, -cut) of them
+    # lie above cut.
+    lows = _Memo(lambda bound: _kept(last, bound))
+    # blocks[len(kept), h]: (j, keys, mask, options) of each multiset of
+    # n - j kept options below the h highest, for j = 0..n; only j = 0
+    # when h is 0 or 1, as one option above cut merges no representatives.
+    # A head without a cut keeps every option.
+    kept, h = last, 0
+    block = [(0, *low) for low in _multisets(last, n)]
+    blocks = {(len(last), 0): block}
     bottom_of, verdicts, memo, found = Threshold.bottom, ctx.tables.verdicts, {}, []
     for part in product(*head):
         head_keys, head_mask, head_hot = (), 0, -1
@@ -345,11 +360,13 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
             ranked = sorted(head_keys)
             if head_hot > ranked[q - 1]:
                 continue
+            kept, drops = lows[ranked[q - 1]]
             h = bisect_left(drops, -ranked[rank])
-            block = blocks.get(h)
+            block = blocks.get((len(kept), h))
             if block is None:
-                block = blocks[h] = [(j, *low) for j in range(n + 1)
-                                     for low in _multisets(last[h:], n - j)]
+                block = blocks[len(kept), h] = (
+                    [(j, *low) for j in range(n + 1) for low in _multisets(kept[h:], n - j)]
+                    if h > 1 else [(0, *low) for low in _multisets(kept, n)])
         for j, low_keys, low_mask, _, low_options in block:
             bottom = bottom_of(head_keys + low_keys, q)
             entry = memo.get(bottom)
@@ -358,7 +375,7 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
             mask = head_mask | low_mask
             if mask & entry[2] or mask & ~entry[1] and _judge(verdicts, entry, mask, judged):
                 continue
-            passing = ([o for o in last[:h] if not _judge(verdicts, entry, o[3], judged)]
+            passing = ([o for o in kept[:h] if not _judge(verdicts, entry, o[3], judged)]
                        if j else ())
             for high in combinations_with_replacement(passing, j):
                 # The arrangements need each orbit's rows in ascending order.
@@ -368,7 +385,7 @@ def _orbit_scan(ctx: _Ctx, groups: list, filtered: bool) -> tuple[list, int]:
                     flat = tuple(chain.from_iterable(arrangement))
                     found.append(tuple(flat[i] for i in place))
     found.sort()
-    return found, prod(map(len, head)) * len(blocks[0])
+    return found, prod(map(len, head)) * len(blocks[len(last), 0])
 
 
 def enumerate_equilibria(
@@ -490,7 +507,7 @@ def _lone_deviation_spends(s: Scenario, voter_type: str, new_action: str) -> dic
             moved = _moved_row((r, 0, 0, 0, d, 0), k, voter_type, new_action)
             y = (moved[0] + moved[3]) * step
             st, c, t = summary.after(scale, y)
-            den, paid, _ = ctx.tables.rows[c, t]
+            den, paid = ctx.tables.rows[c, t]
             # The unmoved districts share key L: all below if c counts one
             # besides the mover, else all tied if t does, else all above.
             # With no unmoved district (k = 1), rest is weighted by 0.

@@ -423,11 +423,11 @@ class _PricingTables:
 
     A voter's expected entry over the fair draw (_worth) is one settled
     entry, or, in a real tie, two weighted by the integer draw counts q - c
-    drawn and t - q + c not, over t. rows[c, t] is (D, paid, worth) with
+    drawn and t - q + c not, over t. rows[c, t] is (D, paid) with
     D = scale * t: paid[code] holds, for a district of that interim status
-    code, the expected payment to one voter of each class, and worth[code]
-    his expected payoff, each an integer numerator over D; runs, expected
-    spends and payoffs read them. A verdict, verdicts[(status code, c, t)
+    code, the expected payment to one voter of each class, each an integer
+    numerator over D; runs and expected spends read them, and a payoff
+    reads its one entry off _worth. A verdict, verdicts[(status code, c, t)
     before, (status code, c, t) after, move id], is whether the move
     strictly pays: the two expected worths compared by cross-multiplying
     each numerator by the other's weight. The Nash checks read verdicts
@@ -470,16 +470,14 @@ class _PricingTables:
         return (drawn * self.settled[SELECTED_BY_DRAW][i]
                 + (t - drawn) * self.settled[NOT_SELECTED][i], t)
 
-    def _row(self, ct: tuple[int, int]) -> tuple[int, tuple, tuple]:
+    def _row(self, ct: tuple[int, int]) -> tuple[int, tuple]:
         c, t = ct
-        paid, worth = [], []  # by status code, then by class
+        paid = []  # by status code, then by class
         for st in (0, 1, 2):
             # Over scale * t, an entry of weight 1 counts t times.
-            total = [num * (t // weight) for num, weight in
-                     (self._worth(st, c, t, i) for i in range(12))]
-            paid.append(tuple(total[:6]))
-            worth.append(tuple(total[6:]))
-        return self.scale * t, tuple(paid), tuple(worth)
+            paid.append(tuple(num * (t // weight) for num, weight in
+                              (self._worth(st, c, t, i) for i in range(6))))
+        return self.scale * t, tuple(paid)
 
     def _verdict(self, key: tuple[int, ...]) -> bool:
         st, c, t, st2, c2, t2, mv = key
@@ -569,7 +567,7 @@ def expected_spend(s: Scenario, p: CountProfile, cl: Classification) -> Fraction
     """Expected total payment under p, classified as cl, exact over the
     fair draw: each class's count times its per-voter expected payment at
     its district's interim status, read off the per-pricing rows[c, t]."""
-    d, paid, _ = _tables_for(s).rows[cl.c, cl.t]
+    d, paid = _tables_for(s).rows[cl.c, cl.t]
     return Fraction(sum(sum(map(mul, cnt, paid[cl.interim(k)]))
                         for k, cnt in enumerate(p.per_district)), d)
 

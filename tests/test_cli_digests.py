@@ -26,6 +26,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 THREE = str(SCENARIOS / "three-districts.json")
 UNEVEN = str(SCENARIOS / "uneven-districts.json")
 COMMITMENT = str(SCENARIOS / "commitment.json")
+SEVEN = str(SCENARIOS / "seven-districts.json")
 CLAIMS = ("weak4-unique", "strong6-unique", "strong4-sigma-star",
           "sabotage-bound", "sequential-spe")
 
@@ -38,6 +39,7 @@ CASES = {
     **{f"enumerate-{tag}-{mode}": (["enumerate", "--scenario", path,
                                     "--filter-dominated", mode], True)
        for tag, path in (("three", THREE), ("uneven", UNEVEN)) for mode in ("on", "off")},
+    "enumerate-seven-on": (["enumerate", "--scenario", SEVEN], True),
     **{f"sweep-delta-{mode}": (["sweep", "--scenario", THREE, "--param", "delta",
                                 "--from", "3", "--to", "40", "--steps", "8",
                                 "--filter-dominated", mode], True)
@@ -62,6 +64,7 @@ DIGESTS = {
     'commitment': (0, 'f9732bae4e06e429', None, 'e3b0c44298fc1c14'),
     'commitment-sabotage': (0, '5b057124e99ed0e2', None, 'e3b0c44298fc1c14'),
     'commitment-verify': (0, 'f9a760bc05f8e726', None, 'e3b0c44298fc1c14'),
+    'enumerate-seven-on': (0, '6d91376b5bcd378f', '588ee26c9a3102eb', 'e3b0c44298fc1c14'),
     'enumerate-three-off': (0, 'c7189e998614d44f', '4b64c020a952c342', 'e3b0c44298fc1c14'),
     'enumerate-three-on': (0, 'd17d7bf591fee236', '702b51fc49393ab7', 'e3b0c44298fc1c14'),
     'enumerate-uneven-off': (0, '2fa15266d80707a2', '55c8e423a32e1d53', 'e3b0c44298fc1c14'),

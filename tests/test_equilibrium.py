@@ -408,8 +408,9 @@ def test_pricing_tables_fill_each_entry_once(monkeypatch):
     # Rows and verdicts are filled on first lookup and recorded. A scan
     # fills verdicts only, and a second scan of the same scenario fills
     # nothing; expected spends fill rows only, each once. Every recorded
-    # verdict is a fresh exact comparison of the two payoffs it names, and
-    # every filled row pays each class its expected payment over the draw.
+    # verdict is a fresh exact comparison of the two payoffs it names,
+    # every filled row pays each class its expected payment over the draw,
+    # and _worth gives his expected payoff.
     fills = Counter()
     for name in ("_row", "_verdict"):
         def counted(tables, key, name=name, fill=getattr(_PricingTables, name)):
@@ -455,10 +456,12 @@ def test_pricing_tables_fill_each_entry_once(monkeypatch):
     verdicts = tables.verdicts
     assert len(verdicts) == sum(name == "_verdict" for name, _ in fills)
     assert len(tables.rows) == sum(name == "_row" for name, _ in fills) > 1
-    for (c, t), (d, paid_rows, worth_rows) in tables.rows.items():
-        for st, (row, worth) in enumerate(zip(paid_rows, worth_rows)):
+    for (c, t), (d, paid_rows) in tables.rows.items():
+        for st, row in enumerate(paid_rows):
             assert [Fraction(x, d) for x in row] == [paid(st, c, t, *cls) for cls in CLASS_SLOTS]
-            assert [Fraction(x, d) for x in worth] == [payoff(st, c, t, *cls) for cls in CLASS_SLOTS]
+            worths = (tables._worth(st, c, t, 6 + i) for i in range(len(CLASS_SLOTS)))
+            assert [Fraction(worth, tables.scale * weight) for worth, weight in worths] == \
+                [payoff(st, c, t, *cls) for cls in CLASS_SLOTS]
     for (st, c, t, st2, c2, t2, mv), gains in verdicts.items():
         _, voter_type, action, alt, _ = _MOVES[mv]
         assert gains == (payoff(st2, c2, t2, voter_type, alt) > payoff(st, c, t, voter_type, action))
@@ -468,15 +471,23 @@ def test_pricing_tables_fill_each_entry_once(monkeypatch):
 def test_nash_memo_builds_one_threshold_per_bottom(monkeypatch):
     # One scan builds one Threshold per distinct bottom of its
     # representatives' keys and evaluates one district verdict per
-    # distinct (bottom, option) it reaches, high options included; the
-    # memo ends with the scan, so a second scan builds them all again.
-    # At q = 3 its blocks take 248 Nash checks to cover the 7350
-    # representatives. A check is one cut of a profile's keys to their
-    # bottom. Of the 350 head parts, 320 hold a district above every
-    # threshold they allow with a decoy on slot one, which gains by moving
-    # to slot two, so only 30 are cut to find their high options. At q = 4
-    # the skip leaves 130 head parts, where the order in which a check
-    # judges its districts shows in the verdicts.
+    # (bottom, option) it reaches, high options included; the memo ends
+    # with the scan, so a second scan builds them all again. On the
+    # enumerate-wide districts at q = 3 its blocks take 142 Nash checks to
+    # cover the 7350 representatives. A check is one cut of a profile's
+    # keys to their bottom. Of the 350 head parts, 320 hold a district
+    # above every threshold they allow with a decoy on slot one, which
+    # gains by moving to slot two, so only 30 are cut to find their high
+    # options. The same bound, tau at most the head's q-th key, drops from
+    # each of those 30 the last group's options hot above it: 104 of the
+    # 6 * 30 options of the two (2, 5) districts, none of them judged. At
+    # q = 4 the skip leaves 130 head parts and the bound drops 438
+    # options; there the order in which a check judges its districts shows
+    # in the verdicts. On these two scans the bound read at the cut, the
+    # (q+1)-th key, drops the same options; the unfiltered uneven districts
+    # tell the two apart: 2727 checks, 3141 with the cut, 3227 with no bound.
+    # Unfiltered, options that differ only where no move reads them judge
+    # alike, so there verdicts are counted per call.
     builds, gains, checks = Counter(), Counter(), Counter()
     build, cut, high = Threshold.__init__, Threshold.bottom, equilibrium.bisect_left
 
@@ -494,24 +505,32 @@ def test_nash_memo_builds_one_threshold_per_bottom(monkeypatch):
 
     def counted_high(drops, key):
         checks["head"] += 1
+        checks["dropped"] += last - len(drops)  # drops holds the kept options' keys
         return high(drops, key)
 
     monkeypatch.setattr(Threshold, "__init__", counted_build)
     monkeypatch.setattr(equilibrium, "bisect_left", counted_high)
     monkeypatch.setattr(equilibrium, "_gains", counted_gains)
     monkeypatch.setattr(Threshold, "bottom", staticmethod(counted_cut))
-    for q, nash, heads, thresholds, verdicts in ((3, 248, 30, 170, 222), (4, 1116, 130, 706, 967)):
-        wide = scenario_for([(3, 4)] * 3 + [(2, 5)] * 2 + [(4, 3)] * 2, q)
+    wide = [(3, 4)] * 3 + [(2, 5)] * 2 + [(4, 3)] * 2
+    uneven = make_scenario([(1, 3), (3, 1), (2, 2)], 100, 1, 36, 1)  # its last group: (1, 3)
+    for s, filtered, candidates, last, nash, heads, dropped, thresholds, verdicts in (
+            (scenario_for(wide, 3), True, 7350, 6, 142, 30, 104, 75, 114),
+            (scenario_for(wide, 4), True, 7350, 6, 644, 130, 438, 359, 483),
+            (uneven, False, 32400, 30, 2727, 263, 5163, 12, 256)):
         for _ in range(2):
             builds.clear()
             gains.clear()
             checks.clear()
-            report = enumerate_equilibria(wide)
-            assert report.candidates_checked == 7350 and report.sigma_star_unique
-            assert checks["nash"] == nash < 7350
-            assert checks["head"] == heads < 350
+            report = enumerate_equilibria(s, filter_dominated=filtered)
+            assert report.candidates_checked == candidates
+            assert report.sigma_star_unique == filtered
+            assert checks["nash"] == nash < candidates
+            assert checks["head"] == heads
+            assert checks["dropped"] == dropped
             assert len(builds) == sum(builds.values()) == thresholds
-            assert len(gains) == sum(gains.values()) == verdicts
+            assert sum(gains.values()) == verdicts
+            assert len(gains) == verdicts or not filtered
 
 
 @pytest.mark.parametrize("claim", ["weak4-unique", "strong6-unique", "strong4-sigma-star"])

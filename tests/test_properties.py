@@ -374,14 +374,15 @@ def pricings(draw):
 @settings(max_examples=80, deadline=None)
 def test_pricing_rows_equal_their_fraction_reference(pricing):
     # Every row a (c, t) of k districts can reach, c below q and c + t at
-    # least q, holds each class's expected payment and payoff over the
-    # draw as integer numerators over its one denominator.
+    # least q, holds each class's expected payment over the draw as integer
+    # numerators over its one denominator, and _worth gives his expected
+    # payoff there.
     menu, k, q, v, eps, delta = pricing
     tables = _PricingTables(menu, q, v, eps, delta)
     prices = price_table(menu, v, eps, delta)
     for c in range(q):
         for t in range(q - c, k - c + 1):
-            d, paid, worth = tables.rows[c, t]
+            d, paid = tables.rows[c, t]
             for code in (0, 1, 2):
                 odds = status_odds(code, c, t, q)
                 for (voter_type, action), i in CLASS_SLOTS.items():
@@ -393,7 +394,8 @@ def test_pricing_rows_equal_their_fraction_reference(pricing):
                                     for prob, price in offers),
                                 sum(prob * voter_payoff(voter_type, price, v)
                                     for prob, price in offers))
-                    assert (Fraction(paid[code][i], d), Fraction(worth[code][i], d)) == want
+                    worth, weight = tables._worth(code, c, t, 6 + i)
+                    assert (Fraction(paid[code][i], d), Fraction(worth, tables.scale * weight)) == want
 
 
 @st.composite
@@ -718,7 +720,8 @@ def test_block_scan_equals_orbit_scan_reference(monkeypatch):
     # high options. A check's mask holds the districts of its bottom, so a
     # judge call on one option whose key lies above its entry's bottom is a
     # high option's, made only for j > 0, and one that passes completes at
-    # least one equilibrium.
+    # least one equilibrium. The second example holds a last-group key tied
+    # with its head part's cut, which is low, not high.
     passed, judge = [], equilibrium._judge
 
     def counted_judge(verdicts, entry, mask, judged):
@@ -732,6 +735,7 @@ def test_block_scan_equals_orbit_scan_reference(monkeypatch):
 
     @given(two_or_three_district_types())
     @example((make_scenario([(1, 1)] * 3 + [(1, 2)] * 2, 100, 1, 36, 2), False))
+    @example((make_scenario([(1, 1), (1, 2), (1, 1), (1, 1), (1, 1)], 100, 1, Fraction(1, 2), 3), True))
     @settings(max_examples=40, deadline=None)
     def agrees(sf):
         s, filtered = sf
@@ -740,6 +744,68 @@ def test_block_scan_equals_orbit_scan_reference(monkeypatch):
 
     agrees()
     assert any(passed)
+
+
+@st.composite
+def cut_scenarios(draw):
+    """A scenario whose scan cuts every head part, and a filter mode: two
+    or three (real, decoy) types, shuffled, with q below the number of
+    districts outside the largest group, so the head holds more than q
+    keys whichever group goes last; one of the three menus at a free
+    pricing (as premise_scenarios draws V, eps and delta) where the
+    dominance filter's premise holds. Up to 5 districts filtered, 4
+    unfiltered."""
+    filtered = draw(st.booleans())
+    kinds = ((1, 1), (1, 2), (2, 1), (2, 2)) if filtered else ((1, 0), (1, 1), (2, 0))
+    types = draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=3, unique=True))
+    k = draw(st.integers(len(types) + 1, 5 if filtered else 4))
+    districts = draw(st.permutations(types + [draw(st.sampled_from(types))
+                                              for _ in range(k - len(types))]))
+    outside = k - max(map(districts.count, types))
+    assume(outside > 1)
+    v = draw(st.fractions(min_value=1, max_value=200, max_denominator=4))
+    eps = draw(st.fractions(min_value=Fraction(1, 4), max_value=v, max_denominator=4))
+    delta = draw(st.fractions(min_value=Fraction(1, 4), max_value=2 * v, max_denominator=4))
+    s = make_scenario(districts, v, eps, delta, draw(st.integers(1, outside - 1)),
+                      menu=draw(st.sampled_from(MENUS)))
+    assume(equilibrium.filter_premise(mechanism._tables_for(s), k) is None)
+    return s, filtered
+
+
+def test_last_group_bound_keeps_the_equilibria(monkeypatch):
+    # tau is at most a head part's q-th key, so the scan drops the last
+    # group's options hot above that key before it builds the part's
+    # blocks. Where every head part is cut, the scan still lists the
+    # equilibria of the per-representative scan and of the full scan, and
+    # in at least a fifth of the examples the bound drops an option. In the
+    # fixed example the last group's (1, 2) districts have an option with a
+    # decoy on slot one, a hot move, keyed 2 as the head's q-th key is: tied
+    # at tau, not above it, so it is kept, and all four districts tied at 2
+    # is an equilibrium.
+    examples, dropped, kept_of = [], [], equilibrium._kept
+
+    def counted_kept(options, bound):
+        kept = kept_of(options, bound)
+        if len(kept[0]) < len(options):
+            dropped.append(len(examples))
+        return kept
+
+    monkeypatch.setattr(equilibrium, "_kept", counted_kept)
+    tied = make_scenario([(1, 2), (1, 1)] * 2, 100, 1, Fraction(15, 4), 1)
+
+    @given(cut_scenarios())
+    @example((tied, True))
+    @settings(max_examples=60, deadline=None)
+    def agrees(sf):
+        s, filtered = sf
+        examples.append(s)
+        got = tuple(e.as_counts() for e in enumerate_equilibria(s, filter_dominated=filtered).equilibria)
+        assert got == orbit_scan_reference(s, filtered) == full_scan(s, filtered)
+        if s is tied:
+            assert ((1, 0, 0, 1, 1, 0), (1, 0, 0, 1, 0, 0)) * 2 in got
+
+    agrees()
+    assert 5 * len(set(dropped)) >= len(examples)
 
 
 @st.composite
